@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -602,10 +601,7 @@ def _cmd_corpus(args) -> int:
         print("empty corpus directory", file=sys.stderr)
         return EXIT_INVALID
     validator = _job_validator()
-    with ThreadPoolExecutor(max_workers=min(8, len(entries))) as pool:
-        outcomes = list(
-            pool.map(lambda e: _run_entry(e, args.budget, validator), entries)
-        )
+    outcomes = [_run_entry(e, args.budget, validator) for e in entries]
     by_criterion: dict[str, list[tuple[dict, bool, str]]] = {}
     for entry, (passed, detail) in zip(entries, outcomes):
         by_criterion.setdefault(entry["criterion"], []).append((entry, passed, detail))

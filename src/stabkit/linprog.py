@@ -1,13 +1,21 @@
 """Exact two-phase simplex over the rationals.
 
-Dense tableau, Fraction pivoting, Bland's rule for both entering and leaving
-choices so the method terminates without any perturbation.  Every pivot is
+Dense tableau of Python ints: each row, right-hand side last, is the primitive
+integer multiple of its rational row whose entry in the row's basic column
+(the row denominator) is positive.  A pivot cross-multiplies and divides by
+the row gcd, so no Fraction is built until the solution is read off.  Bland's
+rule chooses both the entering and the leaving column, by signs and
+cross-multiplied ratios of those same rationals, so the method terminates
+without any perturbation.  With no equalities and a nonnegative right-hand
+side the slack basis is feasible and phase 1 is skipped.  Every pivot is
 metered against a Budget.  Problem sizes here are tiny (tens of variables),
 so no effort is spent on sparsity.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -42,7 +50,7 @@ def solve_lp(
     """
     budget = Budget.coerce(budget)
     n = len(c)
-    c = [Fraction(v) for v in c]
+    c = [_rational(v) for v in c]
     if nonneg is None:
         nonneg = [True] * n
     if len(nonneg) != n:
@@ -59,150 +67,163 @@ def solve_lp(
     n_slack = len(a_ub)
     width = n_struct + n_slack
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def expand(row: Sequence) -> list[Fraction]:
+    rhs = [_rational(b_ub[k]) for k in range(n_slack)]
+    rhs += [_rational(b_eq[k]) for k in range(len(a_eq))]
+    # Without equalities a nonnegative right-hand side makes the slack basis
+    # feasible.  Otherwise each row is negated where its right-hand side is
+    # negative and gets an artificial basic column after the slacks.
+    slack_start = not a_eq and all(b >= 0 for b in rhs)
+    total = width if slack_start else width + len(rhs)
+    rows = []
+    basis = []
+    for k, row in enumerate(itertools.chain(a_ub, a_eq)):
         if len(row) != n:
             raise ValueError("constraint row length mismatch")
-        out = [Fraction(row[i]) * s for i, s in cols]
-        return out
+        sign = -1 if rhs[k] < 0 else 1
+        values = [_rational(v) for v in row]
+        out = [values[i] * (s * sign) for i, s in cols]
+        out += [0] * (total - n_struct)
+        out.append(sign * rhs[k])
+        if k < n_slack:
+            out[n_struct + k] = sign
+        basis.append(n_struct + k if slack_start else width + k)
+        out[basis[-1]] = 1
+        rows.append(_primitive(out))
 
-    for k, row in enumerate(a_ub):
-        r = expand(row) + [Fraction(0)] * n_slack
-        r[n_struct + k] = Fraction(1)
-        rows.append(r)
-        rhs.append(Fraction(b_ub[k]))
-    for k, row in enumerate(a_eq):
-        rows.append(expand(row) + [Fraction(0)] * n_slack)
-        rhs.append(Fraction(b_eq[k]))
-
-    m = len(rows)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-
-    cost = [Fraction(0)] * width
-    for j, (i, s) in enumerate(cols):
-        cost[j] = c[i] * s
-
-    tab = _Tableau(rows, rhs, width, budget)
-    status = tab.phase1()
-    if status == INFEASIBLE:
+    tab = _Tableau(rows, basis, budget)
+    if not slack_start and tab.phase1(width) == INFEASIBLE:
         return LPResult(INFEASIBLE, None, None, tab.pivots)
-    status = tab.phase2(cost)
-    if status == UNBOUNDED:
+    cost = [0] * width
+    for j, (i, s) in enumerate(cols):
+        cost[j] = c[i] if s > 0 else -c[i]
+    if tab.phase2(_primitive(cost)) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None, tab.pivots)
 
-    xcols = tab.solution()
     x = [Fraction(0)] * n
-    for j, (i, s) in enumerate(cols):
-        x[i] += s * xcols[j]
+    for row, b in zip(tab.rows, tab.basis):
+        if b < n_struct:
+            i, s = cols[b]
+            x[i] += s * Fraction(row[-1], row[b])
     obj = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     return LPResult(OPTIMAL, x, obj, tab.pivots)
 
 
+def _rational(v) -> int | Fraction:
+    """The exact value of a coefficient, kept as an int where it is one."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _primitive(values: list) -> list[int]:
+    """The primitive integer row that is a positive multiple of `values`."""
+    den = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+    """Clear column c of row with the pivot row prow, where prow[c] > 0.
+
+    The result is the primitive positive multiple of row - (row[c]/prow[c])
+    prow.  zip stops at the shorter list, so a reduced-cost row without a
+    right-hand side entry stays without one.
+    """
+    p = prow[c]
+    f = row[c]
+    out = [p * a - f * b for a, b in zip(row, prow)]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
 class _Tableau:
-    def __init__(self, rows, rhs, width, budget: Budget):
-        self.rows = [list(r) for r in rows]
-        self.rhs = list(rhs)
-        self.width = width
+    """Integer rows, the basic column of each row, and the pivot count.
+
+    Row i stands for the rational row rows[i] / rows[i][basis[i]]; the
+    reduced-cost rows handed to `_run` are positive multiples of the rational
+    ones, so only their signs are read.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int], budget: Budget):
+        self.rows = rows
+        self.basis = basis
         self.budget = budget
-        self.basis: list[int] = []
         self.pivots = 0
 
     def _pivot(self, r: int, c: int):
         self.budget.spend()
         self.pivots += 1
-        piv = self.rows[r][c]
-        self.rows[r] = [v / piv for v in self.rows[r]]
-        self.rhs[r] /= piv
-        for i in range(len(self.rows)):
-            if i == r:
-                continue
-            f = self.rows[i][c]
-            if f == 0:
-                continue
-            self.rows[i] = [a - f * b for a, b in zip(self.rows[i], self.rows[r])]
-            self.rhs[i] -= f * self.rhs[r]
+        prow = self.rows[r]
+        if prow[c] < 0:
+            prow = self.rows[r] = [-v for v in prow]
+        for i, row in enumerate(self.rows):
+            if i != r and row[c]:
+                self.rows[i] = _eliminate(row, prow, c)
         self.basis[r] = c
 
-    def _run(self, red: list[Fraction], total_width: int) -> str:
+    def _price(self, cost: list[int]) -> list[int]:
+        """Reduced costs: the cost row with every basic column cleared."""
+        red = cost
+        for row, b in zip(self.rows, self.basis):
+            if red[b]:
+                red = _eliminate(red, row, b)
+        return red
+
+    def _run(self, red: list[int]) -> str:
         """Bland iterations on the current tableau with reduced-cost row red."""
+        rows = self.rows
         while True:
-            enter = next((j for j in range(total_width) if red[j] < 0), None)
+            enter = next((j for j, v in enumerate(red) if v < 0), None)
             if enter is None:
                 return OPTIMAL
-            ratio = None
             leave = None
-            for i in range(len(self.rows)):
-                a = self.rows[i][enter]
+            for i, row in enumerate(rows):
+                a = row[enter]
                 if a > 0:
-                    r = self.rhs[i] / a
-                    if ratio is None or r < ratio or (r == ratio and self.basis[i] < self.basis[leave]):
-                        ratio = r
-                        leave = i
+                    if leave is None:
+                        leave, num, den = i, row[-1], a
+                        continue
+                    # rhs_i / a < num / den, both denominators positive
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave, num, den = i, row[-1], a
             if leave is None:
                 return UNBOUNDED
-            # keep the reduced-cost row in sync with the pivot
-            f = red[enter]
             self._pivot(leave, enter)
-            if f != 0:
-                prow = self.rows[leave]
-                for j in range(total_width):
-                    red[j] -= f * prow[j]
+            # keep the reduced-cost row in sync with the pivot
+            if red[enter]:
+                red = _eliminate(red, rows[leave], enter)
 
-    def phase1(self) -> str:
+    def phase1(self, width: int) -> str:
+        """Minimize the sum of the artificial columns width, width+1, ...
+
+        On success the artificial columns are dropped and every row has a
+        basic column below width.
+        """
         m = len(self.rows)
-        art0 = self.width
-        for i in range(m):
-            self.rows[i] = self.rows[i] + [
-                Fraction(1) if j == i else Fraction(0) for j in range(m)
-            ]
-            self.basis.append(art0 + i)
-        total = self.width + m
-        red = [Fraction(0)] * total
-        for j in range(self.width):
-            red[j] = -sum(self.rows[i][j] for i in range(m))
-        status = self._run(red, total)
-        assert status == OPTIMAL  # phase 1 is bounded below by 0
-        value = sum(self.rhs[i] for i in range(m) if self.basis[i] >= art0)
-        if value > 0:
+        status = self._run(self._price([0] * width + [1] * m))
+        if status != OPTIMAL:
+            raise AssertionError("phase 1 is bounded below by 0 but came out unbounded")
+        if any(row[-1] > 0 for row, b in zip(self.rows, self.basis) if b >= width):
             return INFEASIBLE
         # drive leftover degenerate artificials out of the basis
         i = 0
         while i < len(self.rows):
-            if self.basis[i] >= art0:
-                col = next(
-                    (j for j in range(self.width) if self.rows[i][j] != 0), None
-                )
+            if self.basis[i] >= width:
+                row = self.rows[i]
+                col = next((j for j in range(width) if row[j]), None)
                 if col is None:
                     # redundant constraint
                     del self.rows[i]
-                    del self.rhs[i]
                     del self.basis[i]
                     continue
                 self._pivot(i, col)
             i += 1
-        for i in range(len(self.rows)):
-            self.rows[i] = self.rows[i][: self.width]
+        for row in self.rows:
+            del row[width:-1]
         return OPTIMAL
 
-    def phase2(self, cost: list[Fraction]) -> str:
-        red = list(cost)
-        for i, b in enumerate(self.basis):
-            f = red[b]
-            if f != 0:
-                for j in range(self.width):
-                    red[j] -= f * self.rows[i][j]
-        return self._run(red, self.width)
-
-    def solution(self) -> list[Fraction]:
-        x = [Fraction(0)] * self.width
-        for i, b in enumerate(self.basis):
-            x[b] = self.rhs[i]
-        return x
+    def phase2(self, cost: list[int]) -> str:
+        return self._run(self._price(cost))
 
 
 def feasible(

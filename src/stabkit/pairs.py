@@ -30,7 +30,7 @@ from .groups import (
     check_arc,
     deg_of_rep,
     mu_weight,
-    point_in_hull,
+    point_in_hull,  # noqa: F401 - kept importable as pairs.point_in_hull
 )
 
 
@@ -104,18 +104,26 @@ def integerize(values: Sequence[Fraction]) -> list[int]:
     return [n // g for n in ints] if g > 1 else ints
 
 
+def _barycentric_lp(
+    point: Sequence[int], support: Sequence[tuple[int, ...]]
+) -> list[Fraction] | None:
+    """Convex coefficients writing the point over the support, or None."""
+    k = len(point)
+    a_eq = [[q[i] for q in support] for i in range(k)]
+    a_eq.append([1] * len(support))
+    b_eq = [point[i] for i in range(k)] + [1]
+    res = linprog.solve_lp([0] * len(support), a_eq=a_eq, b_eq=b_eq)
+    return res.x if res.status == linprog.OPTIMAL else None
+
+
 def barycentric_witness(
     point: Sequence[int], support: Sequence[tuple[int, ...]]
 ) -> list[Fraction]:
     """Convex coefficients writing the point over the support, or error."""
-    k = len(point)
-    a_eq = [[Fraction(q[i]) for q in support] for i in range(k)]
-    a_eq.append([Fraction(1)] * len(support))
-    b_eq = [Fraction(point[i]) for i in range(k)] + [Fraction(1)]
-    res = linprog.solve_lp([Fraction(0)] * len(support), a_eq=a_eq, b_eq=b_eq)
-    if res.status != linprog.OPTIMAL:
+    lam = _barycentric_lp(point, support)
+    if lam is None:
         raise ValueError("point is not inside the hull of the support")
-    return res.x
+    return lam
 
 
 def separating_exponents(
@@ -128,21 +136,21 @@ def separating_exponents(
     """
     k = len(point)
     n = k + 1  # variables a_1..a_k and the level variable
-    c = [Fraction(point[i]) for i in range(k)] + [Fraction(-1)]
+    c = [point[i] for i in range(k)] + [-1]
     a_ub = []
     b_ub = []
     for q in support:  # level <= <a, q>
-        a_ub.append([Fraction(-q[i]) for i in range(k)] + [Fraction(1)])
-        b_ub.append(Fraction(0))
+        a_ub.append([-q[i] for i in range(k)] + [1])
+        b_ub.append(0)
     for i in range(k):  # -1 <= a_i <= 1
-        row_hi = [Fraction(0)] * n
-        row_hi[i] = Fraction(1)
+        row_hi = [0] * n
+        row_hi[i] = 1
         a_ub.append(row_hi)
-        b_ub.append(Fraction(1))
-        row_lo = [Fraction(0)] * n
-        row_lo[i] = Fraction(-1)
+        b_ub.append(1)
+        row_lo = [0] * n
+        row_lo[i] = -1
         a_ub.append(row_lo)
-        b_ub.append(Fraction(1))
+        b_ub.append(1)
     res = linprog.solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=[False] * n)
     if res.status != linprog.OPTIMAL or res.objective >= 0:
         raise ValueError("no separating exponent vector: point lies in the hull")
@@ -165,10 +173,10 @@ def supports_semistable(
         return True, {"reason": "w = 0; the orbit closure stays inside P(V + 0)"}
     witnesses = []
     for chi in supp_w:
-        if not point_in_hull(chi, supp_v):
+        lam = _barycentric_lp(chi, supp_v)
+        if lam is None:
             a = separating_exponents(chi, supp_v)
             return False, {"exponents": a, "separated_weight": list(chi)}
-        lam = barycentric_witness(chi, supp_v)
         witnesses.append(
             {
                 "weight": list(chi),
@@ -308,35 +316,33 @@ def _dr_cone_violation(supp_v, supp_w, chi_v, chi_w, i, d, level, m):
     linear, and negativity somewhere is equivalent to negativity over the unit
     box by homogeneity.
     """
-    c = [
-        Fraction((level + 1) * (chi_w[j] - chi_v[j]) - chi_v[j]) for j in range(m)
-    ]
+    c = [(level + 1) * (chi_w[j] - chi_v[j]) - chi_v[j] for j in range(m)]
     c[i] += d
     a_ub = []
     b_ub = []
     for q in supp_w:  # <a, chi_w> <= <a, q>
-        a_ub.append([Fraction(chi_w[j] - q[j]) for j in range(m)])
-        b_ub.append(Fraction(0))
+        a_ub.append([chi_w[j] - q[j] for j in range(m)])
+        b_ub.append(0)
     for q in supp_v:
-        a_ub.append([Fraction(chi_v[j] - q[j]) for j in range(m)])
-        b_ub.append(Fraction(0))
+        a_ub.append([chi_v[j] - q[j] for j in range(m)])
+        b_ub.append(0)
     for j in range(m):  # a_i <= a_j
         if j == i:
             continue
-        row = [Fraction(0)] * m
-        row[i] = Fraction(1)
-        row[j] = Fraction(-1)
+        row = [0] * m
+        row[i] = 1
+        row[j] = -1
         a_ub.append(row)
-        b_ub.append(Fraction(0))
+        b_ub.append(0)
     for j in range(m):  # unit box
-        hi = [Fraction(0)] * m
-        hi[j] = Fraction(1)
+        hi = [0] * m
+        hi[j] = 1
         a_ub.append(hi)
-        b_ub.append(Fraction(1))
-        lo = [Fraction(0)] * m
-        lo[j] = Fraction(-1)
+        b_ub.append(1)
+        lo = [0] * m
+        lo[j] = -1
         a_ub.append(lo)
-        b_ub.append(Fraction(1))
+        b_ub.append(1)
     res = linprog.solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=[False] * m)
     if res.status != linprog.OPTIMAL or res.objective >= 0:
         return None
