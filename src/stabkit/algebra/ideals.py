@@ -8,13 +8,14 @@ BudgetError instead of returning a partial basis.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .multipoly import (
     GREVLEX,
     MonomialOrder,
     MultiPoly,
+    _mul_into,
+    _mul_mono,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -99,40 +100,46 @@ def reduce_poly(f: MultiPoly, basis: Sequence[MultiPoly], order: MonomialOrder) 
     """Full normal form of f modulo basis.
 
     Reducers are tried smallest leading monomial first, which makes the
-    result deterministic for any input list.
+    result deterministic for any input list.  Each step subtracts a term
+    multiple of the reducer from one working term dict in place.
     """
+    for g in basis:
+        f._check_ring(g)
     leads = sorted(
         ((g.lead(order), g) for g in basis if not g.is_zero()),
         key=lambda item: order.key(item[0][0]),
     )
     rem_terms: dict = {}
-    work = f
-    while not work.is_zero():
-        m, c = work.lead(order)
+    work = dict(f.terms)
+    while work:
+        m = max(work, key=order.key)
+        c = work[m]
         for (gm, gc), g in leads:
             if mono_divides(gm, m):
-                work = work - g.mul_term(mono_div(m, gm), c / gc)
+                _mul_into(work, {mono_div(m, gm): -c / gc}, g.terms, _mul_mono)
                 break
         else:
             rem_terms[m] = c
-            work = work - MultiPoly.monomial(work.variables, m, c)
-    return MultiPoly(f.variables, rem_terms)
+            del work[m]
+    return MultiPoly._trusted(f.variables, rem_terms)
 
 
 def spoly(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
+    f._check_ring(g)
     fm, fc = f.lead(order)
     gm, gc = g.lead(order)
     l = mono_lcm(fm, gm)
-    return f.mul_term(mono_div(l, fm), Fraction(1) / fc) - g.mul_term(
-        mono_div(l, gm), Fraction(1) / gc
+    out = _mul_into({}, {mono_div(l, fm): 1 / fc}, f.terms, _mul_mono)
+    return MultiPoly._trusted(
+        f.variables, _mul_into(out, {mono_div(l, gm): -1 / gc}, g.terms, _mul_mono)
     )
 
 
-def _update_pairs(G, P, new_index, order):
-    """Add pairs against generator new_index, pruning with the chain and
-    coprimality criteria (Gebauer-Moeller B, M, F and the product test)."""
-    lms = [g.lead(order)[0] for g in G]
-    t = new_index
+def _update_pairs(lms, P):
+    """Add pairs against the newest generator, whose leading monomial is
+    lms[-1], pruning with the chain and coprimality criteria
+    (Gebauer-Moeller B, M, F and the product test)."""
+    t = len(lms) - 1
     lmt = lms[t]
     # B: an old pair is covered by the new generator when its lcm is a proper
     # multiple of both mixed lcms
@@ -159,8 +166,7 @@ def _update_pairs(G, P, new_index, order):
         seen.setdefault(cand[i], i)
     # product criterion: coprime leading monomials reduce to zero
     for li, i in sorted(seen.items(), key=lambda kv: kv[1]):
-        prod = tuple(a + b for a, b in zip(lms[i], lmt))
-        if li != prod:
+        if li != _mul_mono(lms[i], lmt):
             kept.append((i, t))
     return kept
 
@@ -173,6 +179,7 @@ def buchberger(
     """Reduced Groebner basis of the given generators."""
     budget = Budget.coerce(budget)
     G: list[MultiPoly] = []
+    lms: list = []  # leading monomial of each member of G
     P: list[tuple[int, int]] = []
     seed = sorted(
         (g for g in gens if not g.is_zero()),
@@ -180,22 +187,21 @@ def buchberger(
     )
     for g in seed:
         G.append(g)
-        P = _update_pairs(G, P, len(G) - 1, order)
+        lms.append(g.lead(order)[0])
+        P = _update_pairs(lms, P)
     while P:
         # normal strategy: smallest lcm first
         best = min(
             range(len(P)),
-            key=lambda idx: (
-                order.key(mono_lcm(G[P[idx][0]].lead(order)[0], G[P[idx][1]].lead(order)[0])),
-                P[idx],
-            ),
+            key=lambda idx: (order.key(mono_lcm(lms[P[idx][0]], lms[P[idx][1]])), P[idx]),
         )
         i, j = P.pop(best)
         budget.spend()
         s = reduce_poly(spoly(G[i], G[j], order), G, order)
         if not s.is_zero():
             G.append(s)
-            P = _update_pairs(G, P, len(G) - 1, order)
+            lms.append(s.lead(order)[0])
+            P = _update_pairs(lms, P)
     return _interreduce(_minimalize(G, order), order)
 
 
@@ -275,13 +281,8 @@ def saturate(ideal: Ideal, f: MultiPoly, budget: Budget | int | None = None) -> 
         raise ValueError("saturating polynomial lives in a different ring")
     if f.is_zero():
         raise ValueError("cannot saturate by zero")
-    budget = Budget.coerce(budget)
-    z = fresh_name(ideal.variables, "zsat")
-    extended = [z] + list(ideal.variables)
-    gens = [g.extend(extended) for g in ideal.generators]
-    zf = MultiPoly.var(extended, z) * f.extend(extended)
-    gens.append(MultiPoly.constant(extended, 1) - zf)
-    return eliminate(Ideal(extended, gens), [z], budget)
+    extended = _rabinowitsch(ideal, f)
+    return eliminate(extended, [extended.variables[0]], budget)
 
 
 def member(f: MultiPoly, ideal: Ideal, budget: Budget | int | None = None) -> bool:
@@ -300,13 +301,18 @@ def radical_member(f: MultiPoly, ideal: Ideal, budget: Budget | int | None = Non
         raise ValueError("membership test across different rings")
     if f.is_zero():
         return True
-    budget = Budget.coerce(budget)
-    z = fresh_name(ideal.variables, "zrad")
+    return _rabinowitsch(ideal, f).is_trivial(budget)
+
+
+def _rabinowitsch(ideal: Ideal, f: MultiPoly) -> Ideal:
+    """I + (1 - z*f) with a fresh variable z put first in the ring: its
+    points are those of I with f invertible."""
+    z = fresh_name(ideal.variables, "zrab")
     extended = [z] + list(ideal.variables)
     gens = [g.extend(extended) for g in ideal.generators]
     zf = MultiPoly.var(extended, z) * f.extend(extended)
     gens.append(MultiPoly.constant(extended, 1) - zf)
-    return Ideal(extended, gens).is_trivial(budget)
+    return Ideal(extended, gens)
 
 
 def intersect(a: Ideal, b: Ideal, budget: Budget | int | None = None) -> Ideal:

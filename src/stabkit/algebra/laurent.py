@@ -8,8 +8,11 @@ matching the convention that ord0 runs over nonzero entries only.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
+
+from .multipoly import _add_into, _mul_into, _pow_terms
 
 
 class LaurentPoly:
@@ -25,6 +28,14 @@ class LaurentPoly:
                 if c != 0:
                     clean[int(exp)] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "LaurentPoly":
+        """Wrap an arithmetic result without re-validating it: `terms` maps
+        int exponents to nonzero Fractions."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -74,19 +85,12 @@ class LaurentPoly:
         other = LaurentPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return LaurentPoly(out)
+        return LaurentPoly._trusted(_add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = LaurentPoly._coerce(other)
@@ -98,16 +102,7 @@ class LaurentPoly:
         other = LaurentPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(out)
+        return LaurentPoly._trusted(_mul_into({}, self.terms, other.terms, operator.add))
 
     __rmul__ = __mul__
 
@@ -115,23 +110,16 @@ class LaurentPoly:
         c = Fraction(c)
         if c == 0:
             return LaurentPoly()
-        return LaurentPoly({e: k * c for e, k in self.terms.items()})
+        return LaurentPoly._trusted({e: k * c for e, k in self.terms.items()})
 
     def shift(self, n: int) -> "LaurentPoly":
         """Multiply by t^n."""
-        return LaurentPoly({e + n: c for e, c in self.terms.items()})
+        return LaurentPoly._trusted({e + n: c for e, c in self.terms.items()})
 
     def pow(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial; use LaurentFrac")
-        out = LaurentPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return LaurentPoly._trusted(_pow_terms(self.terms, n, 0, operator.add))
 
     def coeff(self, exp: int) -> Fraction:
         return self.terms.get(exp, Fraction(0))
@@ -147,7 +135,7 @@ def val(p: LaurentPoly):
     return p.val
 
 
-def ord0(entries: Iterable[LaurentPoly]):
+def ord0(entries: Iterable[LaurentPoly | LaurentFrac]):
     """Minimum valuation over the nonzero entries of a vector.
 
     Raises ValueError on the all-zero vector: the order of vanishing of
@@ -217,10 +205,6 @@ class LaurentFrac:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "LaurentFrac":
-        return cls(p)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -278,10 +262,6 @@ class LaurentFrac:
         return self.num * other.den == other.num * self.den
 
     __hash__ = None  # cross-multiplied equality has no cheap canonical hash
-
-    def is_polynomial(self) -> bool:
-        _, rem = poly_divmod(self.num, self.den)
-        return rem.is_zero()
 
     def as_polynomial(self) -> LaurentPoly:
         """Exact quotient; raises ValueError when the division is not exact."""

@@ -8,7 +8,7 @@ lives in the one-variable module.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -39,9 +39,6 @@ class MonomialOrder:
         s = self.split
         return (_grevlex_key(m[:s]), _grevlex_key(m[s:]))
 
-    def gt(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
     def __repr__(self):
         if self.kind == "block":
             return f"MonomialOrder('block', split={self.split})"
@@ -58,6 +55,47 @@ LEX = MonomialOrder("lex")
 
 def _mul_mono(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
+
+
+# The sparse-term kernel shared with the Laurent module.  A term dict maps
+# exponents to nonzero Fractions; `add` multiplies two monomials, which is
+# exponent addition on ints or on tuples.
+
+
+def _add_into(out: dict, terms: Mapping) -> dict:
+    """out += terms in place, dropping cancelled terms; returns out."""
+    for m, c in terms.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return out
+
+
+def _mul_into(out: dict, a: Mapping, b: Mapping, add: Callable) -> dict:
+    """out += a * b in place, dropping cancelled terms; returns out."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = add(m1, m2)
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def _pow_terms(terms: Mapping, n: int, one, add: Callable) -> dict:
+    """terms ** n by square-and-multiply; `one` is the exponent of 1."""
+    out = {one: Fraction(1)}
+    while n:
+        if n & 1:
+            out = _mul_into({}, out, terms, add)
+        n >>= 1
+        if n:
+            terms = _mul_into({}, terms, terms, add)
+    return out
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -94,6 +132,15 @@ class MultiPoly:
                 if c != 0:
                     clean[mono] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], terms: dict) -> "MultiPoly":
+        """Wrap an arithmetic result without re-validating it: `terms` maps
+        exponent tuples of the ring's length to nonzero Fractions."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "MultiPoly":
@@ -150,19 +197,12 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         self._check_ring(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return MultiPoly(self.variables, out)
+        return MultiPoly._trusted(self.variables, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._trusted(self.variables, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
@@ -175,16 +215,7 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         self._check_ring(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mul_mono(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return MultiPoly(self.variables, out)
+        return MultiPoly._trusted(self.variables, _mul_into({}, self.terms, other.terms, _mul_mono))
 
     __rmul__ = __mul__
 
@@ -192,26 +223,19 @@ class MultiPoly:
         c = Fraction(c)
         if c == 0:
             return MultiPoly(self.variables)
-        return MultiPoly(self.variables, {m: k * c for m, k in self.terms.items()})
+        return MultiPoly._trusted(self.variables, {m: k * c for m, k in self.terms.items()})
 
     def mul_term(self, mono: Monomial, coeff: Fraction) -> "MultiPoly":
         if coeff == 0:
             return MultiPoly(self.variables)
-        return MultiPoly(
-            self.variables, {_mul_mono(m, mono): c * coeff for m, c in self.terms.items()}
-        )
+        term = {tuple(mono): Fraction(coeff)}
+        return MultiPoly._trusted(self.variables, _mul_into({}, self.terms, term, _mul_mono))
 
     def pow(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power")
-        out = MultiPoly.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        one = (0,) * len(self.variables)
+        return MultiPoly._trusted(self.variables, _pow_terms(self.terms, n, one, _mul_mono))
 
     def lead(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
         """Leading (monomial, coefficient) under `order`; errors on zero."""
@@ -250,9 +274,8 @@ class MultiPoly:
         for m, c in self.terms.items():
             k = m[idx]
             rest = tuple(0 if i == idx else e for i, e in enumerate(m))
-            bucket = buckets.setdefault(k, {})
-            bucket[rest] = bucket.get(rest, Fraction(0)) + c
-        return {k: MultiPoly(self.variables, b) for k, b in buckets.items()}
+            buckets.setdefault(k, {})[rest] = c
+        return {k: MultiPoly._trusted(self.variables, b) for k, b in buckets.items()}
 
     def rename(self, variables: Sequence[str]) -> "MultiPoly":
         """Reinterpret in a different ring with the same arity."""
@@ -348,10 +371,3 @@ def _scale_value(value, c: Fraction):
     if scale is not None:
         return scale(c)
     return value * c
-
-
-def poly_sum(polys: Iterable[MultiPoly], variables: Sequence[str]) -> MultiPoly:
-    total = MultiPoly.zero(variables)
-    for p in polys:
-        total = total + p
-    return total

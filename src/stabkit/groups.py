@@ -10,9 +10,9 @@ and determinant denominators.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,31 +35,27 @@ def entry_variables(m: int) -> list[str]:
 
 def det_polynomial(m: int, variables: Sequence[str]) -> MultiPoly:
     """Symbolic determinant of the generic m*m matrix in the given ring."""
-    out = MultiPoly.zero(variables)
-    for perm in itertools.permutations(range(m)):
-        sign = _perm_sign(perm)
-        term = MultiPoly.constant(variables, sign)
-        for i, j in enumerate(perm):
-            term = term * MultiPoly.var(variables, f"g{i + 1}{j + 1}")
-        out = out + term
-    return out
+    generic = [
+        [MultiPoly.var(variables, f"g{i}{j}") for j in range(1, m + 1)] for i in range(1, m + 1)
+    ]
+    return _det(generic, MultiPoly.zero(variables))
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
+def _det(matrix, zero):
+    """Determinant over any commutative ring by cofactor expansion along the
+    first row; entries equal to `zero`, the ring's own zero, are skipped (a
+    polynomial never equals the int 0)."""
+    m = len(matrix)
+    if m == 1:
+        return matrix[0][0]
+    out = zero
+    for j, entry in enumerate(matrix[0]):
+        if entry == zero:
             continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        term = entry * _det(minor, zero)
+        out = out - term if j % 2 else out + term
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,7 @@ class GroupPresentation:
                 mat = [
                     [Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)
                 ]
-                if _rational_det(mat) != 0:
+                if _det(mat, 0) != 0:
                     return mat
         if self.label.startswith("special-linear"):
             mat = _diag_matrix([Fraction(1)] * m)
@@ -165,17 +161,6 @@ def _nonzero_rational(rng: random.Random) -> Fraction:
     while num == 0:
         num = rng.randint(-5, 5)
     return Fraction(num, rng.randint(1, 3))
-
-
-def _rational_det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
-    m = len(mat)
-    out = Fraction(0)
-    for perm in itertools.permutations(range(m)):
-        term = Fraction(_perm_sign(perm))
-        for i, j in enumerate(perm):
-            term *= mat[i][j]
-        out += term
-    return out
 
 
 @dataclass(frozen=True)
@@ -230,7 +215,7 @@ class MatrixAction:
         return len(self.matrix)
 
     def evaluate_rational(self, point: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-        det = _rational_det(point)
+        det = _det(point, 0)
         if det == 0:
             raise ValueError("singular matrix is not a group point")
         values = {INV_VAR: Fraction(1) / det}
@@ -287,7 +272,7 @@ class Arc:
     @property
     def det(self) -> LaurentPoly:
         if self._det is None:
-            self._det = _laurent_det(self.matrix)
+            self._det = _det(self.matrix, LaurentPoly.zero())
         return self._det
 
     def entries(self) -> list[LaurentPoly]:
@@ -341,18 +326,7 @@ class Arc:
     def __matmul__(self, other: "Arc") -> "Arc":
         if self.size != other.size:
             raise ValueError("size mismatch in arc product")
-        m = self.size
-        zero = LaurentPoly.zero()
-        out = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = zero
-                for k in range(m):
-                    acc = acc + self.matrix[i][k] * other.matrix[k][j]
-                row.append(acc)
-            out.append(row)
-        return Arc(out)
+        return Arc(_matmul_laurent(self.matrix, other.matrix))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Arc):
@@ -370,25 +344,6 @@ class Arc:
         return f"Arc[{rows}]"
 
 
-def _laurent_det(matrix) -> LaurentPoly:
-    m = len(matrix)
-    if m == 1:
-        return matrix[0][0]
-    out = LaurentPoly.zero()
-    for j in range(m):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        minor = [
-            [matrix[r][c] for c in range(m) if c != j] for r in range(1, m)
-        ]
-        cofactor = _laurent_det(minor)
-        if j % 2:
-            cofactor = -cofactor
-        out = out + entry * cofactor
-    return out
-
-
 def _laurent_adjugate(matrix) -> list[list[LaurentPoly]]:
     m = len(matrix)
     if m == 1:
@@ -401,7 +356,7 @@ def _laurent_adjugate(matrix) -> list[list[LaurentPoly]]:
                 for r in range(m)
                 if r != i
             ]
-            cof = _laurent_det(minor)
+            cof = _det(minor, LaurentPoly.zero())
             if (i + j) % 2:
                 cof = -cof
             adj[j][i] = cof  # transpose of cofactors
@@ -420,10 +375,9 @@ def check_arc(group: GroupPresentation, arc: Arc) -> bool:
     if det.is_zero():
         return False
     values = _arc_entry_values(arc)
-    for rel in group.relations.generators:
-        if not _cleared_value(rel, values, det).is_zero():
-            return False
-    return True
+    rels = group.relations.generators
+    dpow = _det_powers(det, rels)
+    return all(_cleared(rel, values, dpow).is_zero() for rel in rels)
 
 
 def _arc_entry_values(arc: Arc) -> dict[str, LaurentPoly]:
@@ -435,18 +389,21 @@ def _arc_entry_values(arc: Arc) -> dict[str, LaurentPoly]:
     return values
 
 
-def _cleared_value(
-    rel: MultiPoly, values: dict[str, LaurentPoly], det: LaurentPoly
-) -> LaurentPoly:
-    """rel(arc) * det^K where K is the ginv-degree of rel."""
-    buckets = rel.coefficients_in(INV_VAR)
-    top = max(buckets)
-    acc = LaurentPoly.zero()
-    for k, coeff in buckets.items():
-        piece = coeff.subs(values)
-        if isinstance(piece, Fraction):
-            piece = LaurentPoly.constant(piece)
-        acc = acc + piece * det.pow(top - k)
+def _det_powers(det, polys: Sequence[MultiPoly]) -> list:
+    """det^k for k up to the highest ginv-degree among polys."""
+    top = max(p.degree_in(INV_VAR) for p in polys)
+    return [det.pow(k) for k in range(top + 1)]
+
+
+def _cleared(poly: MultiPoly, values: dict, dpow: list):
+    """poly at values times det^top, where dpow[k] = det^k up to top: with
+    top at least the ginv-degree of poly, no inverse determinant is left.
+    poly must be nonzero."""
+    top = len(dpow) - 1
+    acc = None
+    for k, coeff in poly.coefficients_in(INV_VAR).items():
+        piece = coeff.subs(values) * dpow[top - k]
+        acc = piece if acc is None else acc + piece
     return acc
 
 
@@ -532,12 +489,7 @@ def act(rep: Representation, arc: Arc, vector: Sequence[Fraction]) -> list[Laure
         if det.is_zero():
             raise ValueError("invalid arc: zero determinant")
         values = _arc_entry_values(arc)
-        top = 0
-        for row in rep.matrix:
-            for p in row:
-                if not p.is_zero():
-                    top = max(top, p.degree_in(INV_VAR))
-        dpow = [det.pow(k) for k in range(top + 1)]
+        dpow = _det_powers(det, [p for row in rep.matrix for p in row])
         out = []
         for i in range(rep.dim):
             acc = LaurentPoly.zero()
@@ -548,14 +500,8 @@ def act(rep: Representation, arc: Arc, vector: Sequence[Fraction]) -> list[Laure
                 entry = rep.matrix[i][j]
                 if entry.is_zero():
                     continue
-                cleared = LaurentPoly.zero()
-                for k, coeff in entry.coefficients_in(INV_VAR).items():
-                    piece = coeff.subs(values)
-                    if isinstance(piece, Fraction):
-                        piece = LaurentPoly.constant(piece)
-                    cleared = cleared + piece * dpow[top - k]
-                acc = acc + cleared.scale(c)
-            out.append(LaurentFrac(acc, dpow[top]))
+                acc = acc + _cleared(entry, values, dpow).scale(c)
+            out.append(LaurentFrac(acc, dpow[-1]))
         return out
     raise TypeError(f"unknown representation type {type(rep).__name__}")
 
@@ -577,23 +523,16 @@ def rep_weights(rep: Representation, m: int) -> list[tuple[int, ...]]:
                     values[f"g{i}{j}"] = MultiPoly.var(dvars, f"d{i}")
                 else:
                     values[f"g{i}{j}"] = MultiPoly.zero(dvars)
-        prod = MultiPoly.constant(dvars, 1)
-        for v in dvars:
-            prod = prod * MultiPoly.var(dvars, v)
+        prod = MultiPoly.monomial(dvars, (1,) * m)
+        dpow = _det_powers(prod, [p for row in rep.matrix for p in row])
+        top = len(dpow) - 1
         weights = []
         for i in range(rep.dim):
             for j in range(rep.dim):
                 entry = rep.matrix[i][j]
                 if entry.is_zero():
                     continue
-                buckets = entry.coefficients_in(INV_VAR)
-                top = max(buckets)
-                cleared = MultiPoly.zero(dvars)
-                for k, coeff in buckets.items():
-                    piece = coeff.subs(values)
-                    if isinstance(piece, Fraction):
-                        piece = MultiPoly.constant(dvars, piece)
-                    cleared = cleared + piece * prod.pow(top - k)
+                cleared = _cleared(entry, values, dpow)
                 if i != j:
                     if not cleared.is_zero():
                         raise ValueError(
@@ -628,19 +567,6 @@ def deg_of_rep(rep: Representation, m: int) -> int:
     return deg
 
 
-def _ord0_fracs(entries: Sequence[LaurentFrac]):
-    best = None
-    for e in entries:
-        if e.is_zero():
-            continue
-        v = e.val
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise ValueError("ord0 of an all-zero vector is undefined")
-    return best
-
-
 def mu_weight(
     rep_v: Representation,
     rep_w: Representation,
@@ -649,14 +575,12 @@ def mu_weight(
     arc: Arc,
 ):
     """Arc weight ord0(arc.w) - ord0(arc.v); +infinity when w = 0."""
-    import math
-
     if all(Fraction(c) == 0 for c in v):
         raise ValueError("v must be nonzero")
     if all(Fraction(c) == 0 for c in w):
         return math.inf
-    ord_v = _ord0_fracs(act(rep_v, arc, v))
-    ord_w = _ord0_fracs(act(rep_w, arc, w))
+    ord_v = ord0(act(rep_v, arc, v))
+    ord_w = ord0(act(rep_w, arc, w))
     return ord_w - ord_v
 
 
@@ -665,36 +589,8 @@ def arc_norm(rep_v: Representation, v: Sequence[Fraction], arc: Arc):
     if all(Fraction(c) == 0 for c in v):
         raise ValueError("v must be nonzero")
     d = deg_of_rep(rep_v, arc.size)
-    ord_v = _ord0_fracs(act(rep_v, arc, v))
+    ord_v = ord0(act(rep_v, arc, v))
     return ord_v - d * ord0(arc.entries())
-
-
-def torus_arc_exponents(arc: Arc) -> tuple[int, ...]:
-    """Valuations of the diagonal of a diagonal arc."""
-    if not arc.is_diagonal():
-        raise ValueError("arc is not diagonal")
-    diag = arc.diagonal()
-    if any(u.is_zero() for u in diag):
-        raise ValueError("invalid arc: zero diagonal entry")
-    return tuple(u.val for u in diag)
-
-
-@dataclass(frozen=True)
-class WeightPolytope:
-    """Finite weight set with its hull vertices (computed by exact LPs)."""
-
-    points: tuple[tuple[int, ...], ...]
-    vertices: tuple[tuple[int, ...], ...] = field(init=False)
-
-    def __init__(self, points: Sequence[Sequence[int]]):
-        pts = tuple(sorted({tuple(int(e) for e in p) for p in points}))
-        if not pts:
-            raise ValueError("a weight polytope needs at least one point")
-        object.__setattr__(self, "points", pts)
-        verts = tuple(
-            p for p in pts if not point_in_hull(p, [q for q in pts if q != p])
-        )
-        object.__setattr__(self, "vertices", verts)
 
 
 def point_in_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
@@ -732,20 +628,6 @@ def diagonal_action(group: GroupPresentation, weights: Sequence[Sequence[int]]) 
             entry = entry * MultiPoly.var(ring, f"g{i + 1}{i + 1}", e + shift)
         matrix[idx][idx] = entry
     return MatrixAction(group, matrix)
-
-
-def sym_gl2_weights(d: int) -> TorusWeights:
-    """Sym^d of the standard GL_2 action, basis x^d, x^{d-1}y, ..., y^d."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    return TorusWeights([(i, d - i) for i in range(d, -1, -1)])
-
-
-def sym_sl2_torus_weights(d: int) -> TorusWeights:
-    """Same basis, restricted to the rank-one torus diag(u, 1/u)."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    return TorusWeights([(2 * i - d,) for i in range(d, -1, -1)])
 
 
 def sym_action(group: GroupPresentation, d: int) -> MatrixAction:

@@ -13,7 +13,6 @@ classical toric functional up to a positive factor.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -524,7 +523,7 @@ def toric_uniform_search(
     alpha = tuple(best_x[:dim])
     beta = tuple(best_x[dim:])
     if best < epsilon:
-        scaled = _primitive(alpha + beta)
+        scaled = linprog._primitive(alpha + beta)
         alpha = tuple(scaled[:dim])
         beta = tuple(scaled[dim:])
         cert = _family_function(P, creases, alpha, beta)
@@ -545,14 +544,3 @@ def toric_uniform_search(
         toric_df(P, witness),
         toric_minnorm(P, witness),
     )
-
-
-def _primitive(values: Sequence[Fraction]) -> list[Fraction]:
-    """Rescale a rational vector by a positive factor to primitive integers."""
-    fracs = [Fraction(v) for v in values]
-    scale = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    g = math.gcd(*(abs(n) for n in ints))
-    if g > 1:
-        ints = [n // g for n in ints]
-    return [Fraction(n) for n in ints]

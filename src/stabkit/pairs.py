@@ -95,15 +95,6 @@ def torus_supports(pair: Pair) -> tuple[list[tuple[int, ...]], list[tuple[int, .
     return supp_v, supp_w
 
 
-def integerize(values: Sequence[Fraction]) -> list[int]:
-    """Scale a rational vector to the primitive integer vector on its ray."""
-    fracs = [Fraction(x) for x in values]
-    scale = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * scale) for f in fracs]
-    g = math.gcd(*(abs(n) for n in ints)) if any(ints) else 1
-    return [n // g for n in ints] if g > 1 else ints
-
-
 def _barycentric_lp(
     point: Sequence[int], support: Sequence[tuple[int, ...]]
 ) -> list[Fraction] | None:
@@ -154,7 +145,7 @@ def separating_exponents(
     res = linprog.solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=[False] * n)
     if res.status != linprog.OPTIMAL or res.objective >= 0:
         raise ValueError("no separating exponent vector: point lies in the hull")
-    a = integerize(res.x[:k])
+    a = linprog._primitive(res.x[:k])
     margin = min(sum(ai * qi for ai, qi in zip(a, q)) for q in support) - sum(
         ai * pi for ai, pi in zip(a, point)
     )
@@ -346,7 +337,7 @@ def _dr_cone_violation(supp_v, supp_w, chi_v, chi_w, i, d, level, m):
     res = linprog.solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=[False] * m)
     if res.status != linprog.OPTIMAL or res.objective >= 0:
         return None
-    return integerize(res.x)
+    return linprog._primitive(res.x)
 
 
 def _verify_dr_violation(pair: Pair, a: list[int], d: int, level: int) -> dict:

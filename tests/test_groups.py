@@ -15,7 +15,6 @@ from stabkit.groups import (
     GroupPresentation,
     MatrixAction,
     TorusWeights,
-    WeightPolytope,
     act,
     arc_norm,
     arcs_equivalent,
@@ -28,14 +27,16 @@ from stabkit.groups import (
     point_in_hull,
     rep_weights,
     sym_action,
-    sym_gl2_weights,
-    sym_sl2_torus_weights,
-    torus_arc_exponents,
 )
 
 T2 = GroupPresentation.torus(2)
 SL2 = GroupPresentation.special_linear(2)
 GL2 = GroupPresentation.general_linear(2)
+
+def sym_gl2_weights(d: int) -> TorusWeights:
+    """Torus weights of Sym^d of the standard GL_2 action, basis x^d, ..., y^d."""
+    return TorusWeights([(i, d - i) for i in range(d, -1, -1)])
+
 
 small_exps = st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=2)
 
@@ -115,9 +116,6 @@ class TestRepresentations:
             assert rep_weights(sym_action(GL2, d), 2) == list(sym_gl2_weights(d).weights)
             assert deg_of_rep(sym_gl2_weights(d), 2) == d
 
-    def test_sl2_torus_restriction(self):
-        assert sym_sl2_torus_weights(2).weights == ((2,), (0,), (-2,))
-
     def test_diagonal_action_recovers_weights(self):
         ws = [(2, -1), (0, 3), (-2, -2)]
         rep = diagonal_action(T2, ws)
@@ -159,12 +157,6 @@ class TestArcs:
         assert check_arc(GL2, one_ps(1, 1))
         assert check_arc(SL2, Arc.elementary(2, 0, 1, parse_laurent("t^-2")))
         assert not check_arc(GL2, Arc.diagonal_arc([parse_laurent("t"), LaurentPoly.zero()]))
-
-    def test_torus_arc_exponents(self):
-        assert torus_arc_exponents(one_ps(2, -3)) == (2, -3)
-        assert torus_arc_exponents(Arc.diagonal_arc([parse_laurent("t + t^2"), parse_laurent("1")])) == (1, 0)
-        with pytest.raises(ValueError):
-            torus_arc_exponents(Arc.elementary(2, 0, 1, parse_laurent("t")))
 
     def test_equivalence_ignores_unit_factors(self):
         a = one_ps(1, -1)
@@ -271,7 +263,3 @@ class TestHulls:
         assert point_in_hull((2, 2), gens)
         assert not point_in_hull((3, 3), gens)
         assert not point_in_hull((1,), [])
-
-    def test_weight_polytope_vertices(self):
-        poly = WeightPolytope([(0, 0), (2, 0), (0, 2), (1, 1), (1, 0)])
-        assert poly.vertices == ((0, 0), (0, 2), (2, 0))

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabkit.groups import Arc, GroupPresentation, TorusWeights, mu_weight, sym_action
+from stabkit.linprog import _primitive
 from stabkit.pairs import (
     Pair,
     associated_pair,
     barycentric_witness,
     dr_stable_at,
-    integerize,
     minkowski_power,
     sample_falsifier,
     separating_exponents,
@@ -99,10 +99,11 @@ class TestPairValidation:
 
 class TestWitnessHelpers:
     def test_integerize(self):
-        assert integerize([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
-        assert integerize([Fraction(2), Fraction(4)]) == [1, 2]
-        assert integerize([Fraction(0), Fraction(0)]) == [0, 0]
-        assert integerize([Fraction(-1, 2)]) == [-1]
+        # separating exponents are scaled to primitive integers by linprog
+        assert _primitive([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
+        assert _primitive([Fraction(2), Fraction(4)]) == [1, 2]
+        assert _primitive([Fraction(0), Fraction(0)]) == [0, 0]
+        assert _primitive([Fraction(-1, 2)]) == [-1]
 
     def test_barycentric_witness(self):
         lam = barycentric_witness((1, 1), [(0, 0), (2, 0), (0, 2)])
