@@ -327,9 +327,3 @@ def intersect(a: Ideal, b: Ideal, budget: Budget | int | None = None) -> Ideal:
     gens = [wv * g.extend(extended) for g in a.generators]
     gens += [one_minus * g.extend(extended) for g in b.generators]
     return eliminate(Ideal(extended, gens), [w], budget)
-
-
-def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    if a.variables != b.variables:
-        raise ValueError("sum across different rings")
-    return Ideal(a.variables, list(a.generators) + list(b.generators))

@@ -130,11 +130,6 @@ class LaurentPoly:
         return f"LaurentPoly({format_laurent(self)!r})"
 
 
-def val(p: LaurentPoly):
-    """t-adic valuation of p, +infinity when p = 0."""
-    return p.val
-
-
 def ord0(entries: Iterable[LaurentPoly | LaurentFrac]):
     """Minimum valuation over the nonzero entries of a vector.
 
@@ -151,40 +146,6 @@ def ord0(entries: Iterable[LaurentPoly | LaurentFrac]):
     if best is None:
         raise ValueError("ord0 of an all-zero vector is undefined")
     return best
-
-
-def poly_divmod(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Exact division with remainder in the Laurent ring.
-
-    Shifts both arguments to ordinary polynomials, runs univariate long
-    division, and shifts the quotient back.  den must be nonzero.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero Laurent polynomial")
-    if num.is_zero():
-        return LaurentPoly(), LaurentPoly()
-    nv, dv = num.val, den.val
-    # shifted copies have valuation 0
-    n = {e - nv: c for e, c in num.terms.items()}
-    d = {e - dv: c for e, c in den.terms.items()}
-    ddeg = max(d)
-    dlead = d[ddeg]
-    q: dict[int, Fraction] = {}
-    r = dict(n)
-    while r and max(r) >= ddeg:
-        rdeg = max(r)
-        factor = r[rdeg] / dlead
-        q[rdeg - ddeg] = factor
-        for e, c in d.items():
-            e2 = e + rdeg - ddeg
-            s = r.get(e2, Fraction(0)) - factor * c
-            if s == 0:
-                r.pop(e2, None)
-            else:
-                r[e2] = s
-    quot = LaurentPoly(q).shift(nv - dv)
-    rem = LaurentPoly(r).shift(nv)
-    return quot, rem
 
 
 class LaurentFrac:
@@ -263,23 +224,7 @@ class LaurentFrac:
 
     __hash__ = None  # cross-multiplied equality has no cheap canonical hash
 
-    def as_polynomial(self) -> LaurentPoly:
-        """Exact quotient; raises ValueError when the division is not exact."""
-        quot, rem = poly_divmod(self.num, self.den)
-        if not rem.is_zero():
-            raise ValueError("LaurentFrac is not a Laurent polynomial")
-        return quot
-
     def __repr__(self):
         from .parser import format_laurent
 
         return f"LaurentFrac({format_laurent(self.num)!r} / {format_laurent(self.den)!r})"
-
-
-def frac_pow(base: LaurentPoly, exp: int) -> LaurentFrac:
-    """base^exp in the Laurent field; negative exponents allowed."""
-    if exp >= 0:
-        return LaurentFrac(base.pow(exp))
-    if base.is_zero():
-        raise ZeroDivisionError("negative power of zero")
-    return LaurentFrac(LaurentPoly.constant(1), base.pow(-exp))

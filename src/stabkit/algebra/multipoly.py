@@ -166,13 +166,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in m) for m in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        if not self.terms:
-            return Fraction(0)
-        return next(iter(self.terms.values()))
-
     def _check_ring(self, other: "MultiPoly"):
         if self.variables != other.variables:
             raise ValueError(f"ring mismatch: {self.variables} vs {other.variables}")
@@ -247,11 +240,6 @@ class MultiPoly:
     def monic(self, order: MonomialOrder) -> "MultiPoly":
         _, lc = self.lead(order)
         return self.scale(Fraction(1) / lc)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
 
     def degree_in(self, name: str) -> int:
         idx = self.variables.index(name)
@@ -342,18 +330,6 @@ class MultiPoly:
         if total is None:
             return Fraction(0)
         return total
-
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at a rational point."""
-        out = Fraction(0)
-        vals = [Fraction(point[v]) for v in self.variables]
-        for m, c in self.terms.items():
-            term = c
-            for base, e in zip(vals, m):
-                if e:
-                    term *= base**e
-            out += term
-        return out
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)

@@ -48,6 +48,7 @@ from .groups import (
     TorusWeights,
     arc_norm,
     arcs_equivalent,
+    check_action,
     check_arc,
     diagonal_action,
     mu_weight,
@@ -136,7 +137,10 @@ def _build_rep(desc: dict, group: GroupPresentation):
     if kind == "matrix":
         ring = group.variables
         rows = [[parse_multi(s, ring) for s in row] for row in desc["entries"]]
-        return MatrixAction(group, rows)
+        action = MatrixAction(group, rows)
+        if not check_action(action):
+            raise ValueError("action matrix is not compatible with group multiplication")
+        return action
     if group.is_torus:
         return TorusWeights([(0,) * group.rank])
     return MatrixAction(group, [[parse_multi("1", group.variables)]])

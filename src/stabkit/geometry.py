@@ -124,21 +124,6 @@ def lattice_edge_length(p: Point, q: Point) -> Fraction:
     return rational_gcd(q[0] - p[0], q[1] - p[1])
 
 
-def count_lattice_points_2d(verts_ccw: Sequence[Point]) -> int:
-    xs = [v[0] for v in verts_ccw]
-    ys = [v[1] for v in verts_ccw]
-    count = 0
-    for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
-        for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1):
-            if point_in_polygon((Fraction(x), Fraction(y)), verts_ccw):
-                count += 1
-    return count
-
-
-def count_lattice_points_1d(lo: Fraction, hi: Fraction) -> int:
-    return max(0, math.floor(hi) - math.ceil(lo) + 1)
-
-
 def clip_interval(
     lo: Fraction, hi: Fraction, coeff: Fraction, offset: Fraction
 ) -> tuple[Fraction, Fraction] | None:

@@ -129,7 +129,7 @@ class GroupPresentation:
         """A rational point of the group, for representation spot-checks."""
         m = self.size
         if self.is_torus:
-            return _diag_matrix([_nonzero_rational(rng) for _ in range(m)])
+            return _diag_matrix([_nonzero_rational(rng) for _ in range(m)], Fraction(0))
         if self.label.startswith("general-linear"):
             while True:
                 mat = [
@@ -138,7 +138,7 @@ class GroupPresentation:
                 if _det(mat, 0) != 0:
                     return mat
         if self.label.startswith("special-linear"):
-            mat = _diag_matrix([Fraction(1)] * m)
+            mat = _diag_matrix([Fraction(1)] * m, Fraction(0))
             if m >= 2:
                 for _ in range(3):
                     i, j = rng.sample(range(m), 2)
@@ -149,11 +149,9 @@ class GroupPresentation:
         raise ValueError("cannot sample rational points of a custom group")
 
 
-def _diag_matrix(entries: Sequence[Fraction]) -> list[list[Fraction]]:
+def _diag_matrix(entries: Sequence, zero) -> list[list]:
     m = len(entries)
-    return [
-        [entries[i] if i == j else Fraction(0) for j in range(m)] for i in range(m)
-    ]
+    return [[entries[i] if i == j else zero for j in range(m)] for i in range(m)]
 
 
 def _nonzero_rational(rng: random.Random) -> Fraction:
@@ -189,9 +187,10 @@ class TorusWeights:
 class MatrixAction:
     """Representation given by its action matrix in the group entry variables.
 
-    Compatibility with the group multiplication is spot-checked at
-    construction on three deterministic pseudo-random pairs of rational group
-    points (skipped for custom presentations, which cannot be sampled).
+    The constructor checks only that the matrix is square and that its
+    entries live in the group's ring.  Compatibility with the group
+    multiplication is checked by `check_action`, where a matrix arrives from
+    a job document.
     """
 
     __slots__ = ("group", "matrix")
@@ -207,8 +206,6 @@ class MatrixAction:
                     raise ValueError("action entries must live in the group ring")
         self.group = group
         self.matrix = rows
-        if group.label != "custom":
-            self._spot_check()
 
     @property
     def dim(self) -> int:
@@ -218,34 +215,23 @@ class MatrixAction:
         det = _det(point, 0)
         if det == 0:
             raise ValueError("singular matrix is not a group point")
-        values = {INV_VAR: Fraction(1) / det}
-        m = self.group.size
-        for i in range(m):
-            for j in range(m):
-                values[f"g{i + 1}{j + 1}"] = Fraction(point[i][j])
-        return [[p.evaluate(values) for p in row] for row in self.matrix]
-
-    def _spot_check(self):
-        rng = random.Random(20240719)
-        for _ in range(3):
-            a = self.group.random_point(rng)
-            b = self.group.random_point(rng)
-            ab = _rational_matmul(a, b)
-            lhs = self.evaluate_rational(ab)
-            rhs = _rational_matmul(self.evaluate_rational(a), self.evaluate_rational(b))
-            if lhs != rhs:
-                raise ValueError("action matrix is not compatible with group multiplication")
+        values = _entry_values(point, Fraction(1) / det)
+        return [[p.subs(values) for p in row] for row in self.matrix]
 
 
 Representation = TorusWeights | MatrixAction
 
 
-def _rational_matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][x] * b[x][j] for x in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
+def _matmul(a, b, zero):
+    """Matrix product over any commutative ring; `zero` is the ring's zero."""
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
+
+
+def _entry_values(matrix, inv) -> dict:
+    """Substitution map sending g11..gmm to the matrix entries and ginv to inv."""
+    values = {f"g{i}{j}": e for i, row in enumerate(matrix, 1) for j, e in enumerate(row, 1)}
+    values[INV_VAR] = inv
+    return values
 
 
 class Arc:
@@ -291,17 +277,11 @@ class Arc:
 
     @classmethod
     def identity(cls, m: int) -> "Arc":
-        one = LaurentPoly.constant(1)
-        zero = LaurentPoly.zero()
-        return cls([[one if i == j else zero for j in range(m)] for i in range(m)])
+        return cls.diagonal_arc([LaurentPoly.constant(1)] * m)
 
     @classmethod
     def diagonal_arc(cls, entries: Sequence[LaurentPoly]) -> "Arc":
-        zero = LaurentPoly.zero()
-        m = len(entries)
-        return cls(
-            [[entries[i] if i == j else zero for j in range(m)] for i in range(m)]
-        )
+        return cls(_diag_matrix(entries, LaurentPoly.zero()))
 
     @classmethod
     def one_ps(cls, exponents: Sequence[int]) -> "Arc":
@@ -313,20 +293,14 @@ class Arc:
         """Identity plus `off` in position (i, j), zero-indexed, i != j."""
         if i == j:
             raise ValueError("elementary arcs live off the diagonal")
-        base = [
-            [
-                LaurentPoly.constant(1) if r == c else LaurentPoly.zero()
-                for c in range(m)
-            ]
-            for r in range(m)
-        ]
+        base = _diag_matrix([LaurentPoly.constant(1)] * m, LaurentPoly.zero())
         base[i][j] = off
         return cls(base)
 
     def __matmul__(self, other: "Arc") -> "Arc":
         if self.size != other.size:
             raise ValueError("size mismatch in arc product")
-        return Arc(_matmul_laurent(self.matrix, other.matrix))
+        return Arc(_matmul(self.matrix, other.matrix, LaurentPoly.zero()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Arc):
@@ -374,19 +348,28 @@ def check_arc(group: GroupPresentation, arc: Arc) -> bool:
     det = arc.det
     if det.is_zero():
         return False
-    values = _arc_entry_values(arc)
+    values = _entry_values(arc.matrix, LaurentPoly.constant(1))
     rels = group.relations.generators
     dpow = _det_powers(det, rels)
     return all(_cleared(rel, values, dpow).is_zero() for rel in rels)
 
 
-def _arc_entry_values(arc: Arc) -> dict[str, LaurentPoly]:
-    values: dict[str, LaurentPoly] = {INV_VAR: LaurentPoly.constant(1)}
-    m = arc.size
-    for i in range(m):
-        for j in range(m):
-            values[f"g{i + 1}{j + 1}"] = arc.matrix[i][j]
-    return values
+def check_action(action: MatrixAction) -> bool:
+    """Spot check of compatibility with the group multiplication:
+    rho(ab) = rho(a) rho(b) on three deterministic pseudo-random pairs of
+    rational group points.  Raises ValueError for a custom presentation,
+    whose points cannot be sampled.
+    """
+    group = action.group
+    rng = random.Random(20240719)
+    for _ in range(3):
+        a = group.random_point(rng)
+        b = group.random_point(rng)
+        lhs = action.evaluate_rational(_matmul(a, b, Fraction(0)))
+        rhs = _matmul(action.evaluate_rational(a), action.evaluate_rational(b), Fraction(0))
+        if lhs != rhs:
+            return False
+    return True
 
 
 def _det_powers(det, polys: Sequence[MultiPoly]) -> list:
@@ -423,8 +406,9 @@ def arcs_equivalent(a: Arc, b: Arc) -> bool:
     if da.val != db.val:
         return False
     adj = _laurent_adjugate(a.matrix)
-    left = _matmul_laurent(adj, b.matrix)  # a^{-1} b numerators
-    right = _matmul_laurent(b.matrix, adj)  # b a^{-1} numerators
+    zero = LaurentPoly.zero()
+    left = _matmul(adj, b.matrix, zero)  # a^{-1} b numerators
+    right = _matmul(b.matrix, adj, zero)  # b a^{-1} numerators
     bound = da.val
     for mat in (left, right):
         for row in mat:
@@ -432,20 +416,6 @@ def arcs_equivalent(a: Arc, b: Arc) -> bool:
                 if entry.val < bound:
                     return False
     return True
-
-
-def _matmul_laurent(a, b):
-    m = len(a)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = LaurentPoly.zero()
-            for k in range(m):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def act(rep: Representation, arc: Arc, vector: Sequence[Fraction]) -> list[LaurentFrac]:
@@ -488,7 +458,7 @@ def act(rep: Representation, arc: Arc, vector: Sequence[Fraction]) -> list[Laure
         det = arc.det
         if det.is_zero():
             raise ValueError("invalid arc: zero determinant")
-        values = _arc_entry_values(arc)
+        values = _entry_values(arc.matrix, LaurentPoly.constant(1))
         dpow = _det_powers(det, [p for row in rep.matrix for p in row])
         out = []
         for i in range(rep.dim):
@@ -516,13 +486,8 @@ def rep_weights(rep: Representation, m: int) -> list[tuple[int, ...]]:
         if rep.group.size != m:
             raise ValueError("group size does not match m")
         dvars = [f"d{i}" for i in range(1, m + 1)]
-        values: dict[str, MultiPoly] = {INV_VAR: MultiPoly.constant(dvars, 1)}
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                if i == j:
-                    values[f"g{i}{j}"] = MultiPoly.var(dvars, f"d{i}")
-                else:
-                    values[f"g{i}{j}"] = MultiPoly.zero(dvars)
+        diag = _diag_matrix([MultiPoly.var(dvars, d) for d in dvars], MultiPoly.zero(dvars))
+        values = _entry_values(diag, MultiPoly.constant(dvars, 1))
         prod = MultiPoly.monomial(dvars, (1,) * m)
         dpow = _det_powers(prod, [p for row in rep.matrix for p in row])
         top = len(dpow) - 1
@@ -602,7 +567,7 @@ def point_in_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
     a_eq = [[Fraction(g[i]) for g in gens] for i in range(k)]
     a_eq.append([Fraction(1)] * len(gens))
     b_eq = [Fraction(point[i]) for i in range(k)] + [Fraction(1)]
-    return linprog.feasible(a_eq=a_eq, b_eq=b_eq, n=len(gens))
+    return linprog.solve_lp([0] * len(gens), a_eq=a_eq, b_eq=b_eq).status == linprog.OPTIMAL
 
 
 def diagonal_action(group: GroupPresentation, weights: Sequence[Sequence[int]]) -> MatrixAction:

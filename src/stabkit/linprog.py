@@ -224,24 +224,3 @@ class _Tableau:
 
     def phase2(self, cost: list[int]) -> str:
         return self._run(self._price(cost))
-
-
-def feasible(
-    a_ub: Sequence[Sequence] = (),
-    b_ub: Sequence = (),
-    a_eq: Sequence[Sequence] = (),
-    b_eq: Sequence = (),
-    n: int | None = None,
-    nonneg: Sequence[bool] | None = None,
-    budget: Budget | int | None = None,
-) -> bool:
-    """Feasibility check with a zero objective."""
-    if n is None:
-        if a_ub:
-            n = len(a_ub[0])
-        elif a_eq:
-            n = len(a_eq[0])
-        else:
-            return True
-    res = solve_lp([0] * n, a_ub, b_ub, a_eq, b_eq, nonneg, budget)
-    return res.status == OPTIMAL

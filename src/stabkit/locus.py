@@ -183,7 +183,7 @@ def _rename_to_copy2(prob: ActionProblem, f: MultiPoly, ring: Sequence[str]) -> 
 
 def locus_contains(ideal: Ideal, point: Sequence[Fraction]) -> bool:
     values = {v: Fraction(c) for v, c in zip(ideal.variables, point)}
-    return all(g.evaluate(values) == 0 for g in ideal.generators)
+    return all(g.subs(values) == 0 for g in ideal.generators)
 
 
 def degeneration_locus(
@@ -241,7 +241,7 @@ def point_degenerates(
         raise ValueError("point dimension mismatch")
     values = {v: c for v, c in zip(prob.y1_vars, point)}
     for g in prob.ideal_y.generators:
-        if g.evaluate(values) != 0:
+        if g.subs(values) != 0:
             raise ValueError("probe point does not lie on the variety")
     if prob.projective and all(c == 0 for c in point):
         raise ValueError("the zero cone point names no projective point")
@@ -313,24 +313,6 @@ class FamilyPair:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "group", group)
-
-    def fiber_supports(self, point: Sequence[Fraction]):
-        values = {v: Fraction(c) for v, c in zip(self.base_vars, point)}
-        supp_v = sorted(
-            {
-                self.rep_v.weights[i]
-                for i, p in enumerate(self.v)
-                if p.evaluate(values) != 0
-            }
-        )
-        supp_w = sorted(
-            {
-                self.rep_w.weights[j]
-                for j, p in enumerate(self.w)
-                if p.evaluate(values) != 0
-            }
-        )
-        return supp_v, supp_w
 
 
 def family_unstable_locus(

@@ -107,16 +107,6 @@ def _barycentric_lp(
     return res.x if res.status == linprog.OPTIMAL else None
 
 
-def barycentric_witness(
-    point: Sequence[int], support: Sequence[tuple[int, ...]]
-) -> list[Fraction]:
-    """Convex coefficients writing the point over the support, or error."""
-    lam = _barycentric_lp(point, support)
-    if lam is None:
-        raise ValueError("point is not inside the hull of the support")
-    return lam
-
-
 def separating_exponents(
     point: Sequence[int], support: Sequence[tuple[int, ...]]
 ) -> list[int]:

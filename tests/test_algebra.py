@@ -18,14 +18,11 @@ from stabkit.algebra import (
     format_laurent,
     format_multi,
     format_rational,
-    frac_pow,
     ord0,
     parse_laurent,
     parse_multi,
     parse_rational,
-    val,
 )
-from stabkit.algebra.laurent import poly_divmod
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -52,7 +49,7 @@ class TestLaurent:
     def test_val_conventions(self):
         assert LaurentPoly.zero().val == math.inf
         assert LaurentPoly.t_power(-3).val == -3
-        assert val(parse_laurent("t^2 + t^5")) == 2
+        assert parse_laurent("t^2 + t^5").val == 2
 
     def test_ord0_skips_zero_entries(self):
         entries = [LaurentPoly.zero(), parse_laurent("t^3"), parse_laurent("t^-1 + t")]
@@ -82,15 +79,6 @@ class TestLaurent:
             # no zero divisors over a field
             assert prod.val == p.val + q.val
 
-    @given(laurent_polys(), laurent_polys())
-    def test_divmod_identity(self, num, den):
-        if den.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                poly_divmod(num, den)
-            return
-        quot, rem = poly_divmod(num, den)
-        assert quot * den + rem == num
-
     @given(laurent_polys())
     def test_parse_format_roundtrip(self, p):
         assert parse_laurent(format_laurent(p)) == p
@@ -112,19 +100,6 @@ class TestLaurentFrac:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             LaurentFrac(LaurentPoly.constant(1), LaurentPoly.zero())
-
-    def test_as_polynomial(self):
-        f = LaurentFrac(parse_laurent("t^2 + t^3"), parse_laurent("t^2"))
-        assert f.as_polynomial() == parse_laurent("1 + t")
-        g = LaurentFrac(LaurentPoly.constant(1), parse_laurent("1 + t"))
-        with pytest.raises(ValueError):
-            g.as_polynomial()
-
-    def test_frac_pow_negative(self):
-        f = frac_pow(parse_laurent("t"), -2)
-        assert f.val == -2
-        with pytest.raises(ZeroDivisionError):
-            frac_pow(LaurentPoly.zero(), -1)
 
     @given(laurent_polys(), laurent_polys().filter(lambda p: not p.is_zero()))
     def test_field_arithmetic_consistency(self, p, d):
@@ -178,7 +153,8 @@ class TestMultiPoly:
 
     def test_evaluate(self):
         p = parse_multi("x^2*y - 1/2", ("x", "y"))
-        assert p.evaluate({"x": Fraction(2), "y": Fraction(1, 4)}) == Fraction(1, 2)
+        out = p.subs({"x": Fraction(2), "y": Fraction(1, 4)})
+        assert isinstance(out, Fraction) and out == Fraction(1, 2)
 
     @given(multi_polys(), multi_polys())
     def test_commutativity(self, p, q):

@@ -6,7 +6,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from stabkit.algebra import format_multi
 from stabkit.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, execute_job, main
+from stabkit.groups import GroupPresentation, sym_action
 
 QUARTIC_PAIR = {
     "rank": 1,
@@ -33,6 +35,22 @@ def write_job(tmp_path, document, name="job.json"):
     path = tmp_path / name
     path.write_text(json.dumps(document))
     return path
+
+
+def gl2_weight_job(rep_v, v):
+    """An arcs.weight job over GL2 with the given v-representation."""
+    return {
+        "schema_version": 1,
+        "kind": "arcs.weight",
+        "payload": {
+            "group": {"kind": "general-linear", "size": 2},
+            "rep_v": rep_v,
+            "rep_w": {"kind": "trivial"},
+            "v": v,
+            "w": [1],
+            "arc": [["t", "1 + t^2"], ["0", "t^-2"]],
+        },
+    }
 
 
 def run_cli(tmp_path, capsys, document, *flags):
@@ -161,6 +179,24 @@ class TestRun:
         }
         code, _, err = run_cli(tmp_path, capsys, job)
         assert code == EXIT_INVALID
+
+    def test_matrix_action_failing_the_spot_check(self, tmp_path, capsys):
+        bad = {"kind": "matrix", "entries": [["g11 + 1"]]}
+        code, out, err = run_cli(tmp_path, capsys, gl2_weight_job(bad, [1]))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "action matrix is not compatible with group multiplication" in err
+
+    def test_matrix_action_matches_sym(self, tmp_path, capsys):
+        action = sym_action(GroupPresentation.general_linear(2), 2)
+        entries = [[format_multi(p) for p in row] for row in action.matrix]
+        reports = []
+        for rep_v in ({"kind": "matrix", "entries": entries}, {"kind": "sym", "degree": 2}):
+            code, out, _ = run_cli(tmp_path, capsys, gl2_weight_job(rep_v, [1, 0, 1]))
+            assert code == EXIT_OK
+            reports.append(json.loads(out)["values"])
+        assert reports[0] == reports[1]
+        assert "norm" in reports[0]
 
     def test_unreadable_and_unparsable_documents(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == EXIT_INVALID

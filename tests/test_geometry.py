@@ -10,8 +10,6 @@ from stabkit.geometry import (
     clip_interval,
     clip_polygon,
     convex_hull_2d,
-    count_lattice_points_1d,
-    count_lattice_points_2d,
     lattice_edge_length,
     point_in_polygon,
     polygon_area,
@@ -82,19 +80,6 @@ class TestMeasures:
     def test_lattice_edge_length(self):
         assert lattice_edge_length((Fraction(0), Fraction(0)), (Fraction(3), Fraction(6))) == 3
         assert lattice_edge_length((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))) == 1
-
-    def test_lattice_counts(self):
-        assert count_lattice_points_2d(UNIT_SQUARE) == 4
-        tri = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)), (Fraction(0), Fraction(2))]
-        assert count_lattice_points_2d(tri) == 6
-        assert count_lattice_points_1d(Fraction(1, 2), Fraction(7, 2)) == 3
-        assert count_lattice_points_1d(Fraction(2), Fraction(1)) == 0
-
-    @given(st.integers(min_value=1, max_value=6))
-    @settings(max_examples=6, deadline=None)
-    def test_dilated_square_count_is_polynomial(self, k):
-        square = [(v[0] * k, v[1] * k) for v in UNIT_SQUARE]
-        assert count_lattice_points_2d(square) == (k + 1) ** 2
 
 
 class TestClipping:

@@ -18,6 +18,7 @@ from stabkit.groups import (
     act,
     arc_norm,
     arcs_equivalent,
+    check_action,
     check_arc,
     deg_of_rep,
     det_polynomial,
@@ -69,9 +70,9 @@ class TestPresentations:
                 m = group.size
                 values = {f"g{i + 1}{j + 1}": point[i][j] for i in range(m) for j in range(m)}
                 det = det_polynomial(m, entry_variables(m)).extend(group.variables)
-                values[INV_VAR] = 1 / det.evaluate(values | {INV_VAR: Fraction(0)})
+                values[INV_VAR] = 1 / det.subs(values | {INV_VAR: Fraction(0)})
                 for rel in group.relations.generators:
-                    assert rel.evaluate(values) == 0
+                    assert rel.subs(values) == 0
 
     def test_torus_points_are_diagonal(self):
         point = T2.random_point(random.Random(3))
@@ -93,10 +94,8 @@ class TestRepresentations:
             MatrixAction(GL2, [[wrong]])
 
     def test_spot_check_rejects_non_homomorphism(self):
-        ring = GL2.variables
-        bad = parse_multi("g11 + 1", ring)
-        with pytest.raises(ValueError):
-            MatrixAction(GL2, [[bad]])
+        bad = MatrixAction(GL2, [[parse_multi("g11 + 1", GL2.variables)]])
+        assert check_action(bad) is False
 
     def test_determinant_character_passes(self):
         ring = GL2.variables
@@ -133,6 +132,31 @@ class TestRepresentations:
         assert out[0] == [4, 2, 1]
         assert out[1] == [0, 6, 6]
         assert out[2] == [0, 0, 9]
+
+
+def library_actions() -> list[MatrixAction]:
+    """The actions the library writes itself: Sym^d, diagonal and trivial."""
+    actions = [sym_action(group, d) for group in (SL2, GL2) for d in range(1, 9)]
+    negative = {1: [(-2,), (3,)], 2: [(2, -1), (0, 3), (-2, -2)], 3: [(1, -1, 0), (-3, 2, 1)]}
+    for k, weights in negative.items():
+        actions.append(diagonal_action(GroupPresentation.torus(k), weights))
+    actions.append(diagonal_action(T2, [(0, 0)]))
+    actions += [MatrixAction(group, [[parse_multi("1", group.variables)]]) for group in (SL2, GL2)]
+    return actions
+
+
+class TestCheckAction:
+    def test_library_actions_are_homomorphisms(self):
+        assert all(check_action(action) for action in library_actions())
+
+    def test_construction_samples_no_group_point(self, monkeypatch):
+        def refuse(self, rng):
+            raise AssertionError("an action was evaluated at a group point")
+
+        monkeypatch.setattr(GroupPresentation, "random_point", refuse)
+        assert len(library_actions()) == 22
+        with pytest.raises(AssertionError):
+            check_action(sym_action(GL2, 1))
 
 
 class TestArcs:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabkit.algebra import Budget, BudgetError
-from stabkit.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible, solve_lp
+from stabkit.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
 class TestSolve:
@@ -27,6 +27,11 @@ class TestSolve:
         res = solve_lp([1], a_ub=[[-1]], b_ub=[5], nonneg=[False])
         assert res.status == OPTIMAL
         assert res.x == [Fraction(-5)]
+
+    def test_free_variables_in_equalities(self):
+        res = solve_lp([0, 0], a_eq=[[1, 1]], b_eq=[-3], nonneg=[False, False])
+        assert res.status == OPTIMAL and sum(res.x) == -3
+        assert solve_lp([0, 0], a_eq=[[1, 1]], b_eq=[-3]).status == INFEASIBLE
 
     def test_infeasible(self):
         res = solve_lp([0], a_ub=[[1]], b_ub=[-1])
@@ -84,16 +89,3 @@ class TestSolve:
         assert res.status == OPTIMAL
         for row, b in zip(a_ub, b_ub):
             assert sum(r * x for r, x in zip(row, res.x)) <= b
-
-
-class TestFeasible:
-    def test_trivial(self):
-        assert feasible()
-
-    def test_infers_dimension(self):
-        assert feasible(a_ub=[[1, 0]], b_ub=[1])
-        assert not feasible(a_ub=[[1], [-1]], b_ub=[0, -1])
-
-    def test_explicit_dimension_for_free_vars(self):
-        assert feasible(a_eq=[[1, 1]], b_eq=[-3], n=2, nonneg=[False, False])
-        assert not feasible(a_eq=[[1, 1]], b_eq=[-3], n=2)

@@ -10,8 +10,8 @@ from stabkit.groups import Arc, GroupPresentation, TorusWeights, mu_weight, sym_
 from stabkit.linprog import _primitive
 from stabkit.pairs import (
     Pair,
+    _barycentric_lp,
     associated_pair,
-    barycentric_witness,
     dr_stable_at,
     minkowski_power,
     sample_falsifier,
@@ -106,10 +106,9 @@ class TestWitnessHelpers:
         assert _primitive([Fraction(-1, 2)]) == [-1]
 
     def test_barycentric_witness(self):
-        lam = barycentric_witness((1, 1), [(0, 0), (2, 0), (0, 2)])
+        lam = _barycentric_lp((1, 1), [(0, 0), (2, 0), (0, 2)])
         assert lam == [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
-        with pytest.raises(ValueError):
-            barycentric_witness((3, 3), [(0, 0), (2, 0), (0, 2)])
+        assert _barycentric_lp((3, 3), [(0, 0), (2, 0), (0, 2)]) is None
 
     def test_separating_exponents(self):
         a = separating_exponents((3, 3), [(0, 0), (2, 0), (0, 2)])
@@ -124,7 +123,7 @@ class TestWitnessHelpers:
         from stabkit.groups import point_in_hull
 
         if point_in_hull(point, supp):
-            lam = barycentric_witness(point, supp)
+            lam = _barycentric_lp(point, supp)
             assert sum(lam) == 1
             assert all(x >= 0 for x in lam)
             for i in range(2):
