@@ -59,12 +59,6 @@ class LaurentPoly:
             return math.inf
         return min(self.terms)
 
-    @property
-    def degree(self):
-        if not self.terms:
-            return -math.inf
-        return max(self.terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -112,17 +106,10 @@ class LaurentPoly:
             return LaurentPoly()
         return LaurentPoly._trusted({e: k * c for e, k in self.terms.items()})
 
-    def shift(self, n: int) -> "LaurentPoly":
-        """Multiply by t^n."""
-        return LaurentPoly._trusted({e + n: c for e, c in self.terms.items()})
-
     def pow(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial; use LaurentFrac")
         return LaurentPoly._trusted(_pow_terms(self.terms, n, 0, operator.add))
-
-    def coeff(self, exp: int) -> Fraction:
-        return self.terms.get(exp, Fraction(0))
 
     def __repr__(self):
         from .parser import format_laurent

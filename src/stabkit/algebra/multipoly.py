@@ -218,12 +218,6 @@ class MultiPoly:
             return MultiPoly(self.variables)
         return MultiPoly._trusted(self.variables, {m: k * c for m, k in self.terms.items()})
 
-    def mul_term(self, mono: Monomial, coeff: Fraction) -> "MultiPoly":
-        if coeff == 0:
-            return MultiPoly(self.variables)
-        term = {tuple(mono): Fraction(coeff)}
-        return MultiPoly._trusted(self.variables, _mul_into({}, self.terms, term, _mul_mono))
-
     def pow(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power")

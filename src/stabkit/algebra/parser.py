@@ -75,12 +75,6 @@ class _Tokenizer:
             self.pos += 1
         return self.text[start : self.pos]
 
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
 
 def _parse_terms(text: str, variables: Sequence[str], laurent: bool):
     """Shared term walker.

@@ -531,35 +531,28 @@ def _criterion_sort_key(cid: str):
     return (cid[0], int(cid[1:])) if cid[1:].isdigit() else (cid, 0)
 
 
-def _matches(expected, actual) -> bool:
-    """Deep subset comparison: dict expectations may omit keys."""
-    if isinstance(expected, dict):
-        if not isinstance(actual, dict):
-            return False
-        return all(k in actual and _matches(v, actual[k]) for k, v in expected.items())
-    if isinstance(expected, list):
-        if not isinstance(actual, list) or len(expected) != len(actual):
-            return False
-        return all(_matches(e, a) for e, a in zip(expected, actual))
-    return expected == actual
-
-
-def _first_mismatch(expected, actual, path: str = "") -> str:
+def _mismatch(expected, actual, path: str = "") -> str | None:
+    """Deep subset comparison: None on a match, else where the first
+    mismatch is.  Dict expectations may omit keys."""
     if isinstance(expected, dict) and isinstance(actual, dict):
         for k, v in expected.items():
             if k not in actual:
                 return f"{path}.{k} missing"
-            if not _matches(v, actual[k]):
-                return _first_mismatch(v, actual[k], f"{path}.{k}")
-        return f"{path} mismatch"
+            found = _mismatch(v, actual[k], f"{path}.{k}")
+            if found is not None:
+                return found
+        return None
     if isinstance(expected, list) and isinstance(actual, list):
         if len(expected) != len(actual):
             return f"{path} length {len(actual)} != {len(expected)}"
         for i, (e, a) in enumerate(zip(expected, actual)):
-            if not _matches(e, a):
-                return _first_mismatch(e, a, f"{path}[{i}]")
-        return f"{path} mismatch"
-    return f"{path}: expected {expected!r}, got {actual!r}"
+            found = _mismatch(e, a, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None
+    if expected != actual:
+        return f"{path}: expected {expected!r}, got {actual!r}"
+    return None
 
 
 def _load_corpus(directory: Path) -> list[dict]:
@@ -582,10 +575,8 @@ def _run_entry(entry: dict, budget_override, validator) -> tuple[bool, str]:
         report = execute_job(entry["job"], budget_override=budget_override, validator=validator)
     except Exception as exc:  # noqa: BLE001 - a crashing entry is a failing entry
         return False, f"{type(exc).__name__}: {exc}"
-    expected = entry["expect"]
-    if _matches(expected, report):
-        return True, "ok"
-    return False, _first_mismatch(expected, report)
+    found = _mismatch(entry["expect"], report)
+    return (True, "ok") if found is None else (False, found)
 
 
 def _cmd_corpus(args) -> int:

@@ -19,7 +19,6 @@ from typing import Sequence
 from .algebra.ideals import Ideal
 from .algebra.laurent import LaurentFrac, LaurentPoly, ord0
 from .algebra.multipoly import MultiPoly
-from . import linprog
 
 INV_VAR = "ginv"
 
@@ -60,20 +59,16 @@ def _det(matrix, zero):
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Linear algebraic group cut out of GL_m by explicit relations."""
+    """A torus, SL_m or GL_m, cut out of GL_m by explicit relations.
+
+    `kind` is the job schema's name for the group: "torus", "special-linear"
+    or "general-linear".  Each constructor lists a unit relation that makes
+    ginv the inverse determinant wherever the relations hold.
+    """
 
     size: int
     relations: Ideal
-    label: str
-
-    def __post_init__(self):
-        expected = tuple(entry_variables(self.size))
-        if self.relations.variables != expected:
-            raise ValueError("relations must live in the entry-variable ring")
-        det = det_polynomial(self.size, expected)
-        unit = MultiPoly.var(expected, INV_VAR) * det - 1
-        if not any(g == unit for g in self.relations.generators):
-            raise ValueError("presentation must list ginv*det - 1 among its generators")
+    kind: str
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -81,7 +76,7 @@ class GroupPresentation:
 
     @property
     def is_torus(self) -> bool:
-        return self.label.startswith("torus")
+        return self.kind == "torus"
 
     @property
     def rank(self) -> int:
@@ -91,7 +86,12 @@ class GroupPresentation:
 
     @classmethod
     def torus(cls, k: int) -> "GroupPresentation":
-        """Diagonal torus of GL_k: off-diagonal entries vanish."""
+        """Diagonal torus of GL_k: off-diagonal entries vanish.
+
+        The unit relation is ginv*g11*...*gkk - 1.  It generates the same
+        ideal as ginv*det - 1, because det is g11*...*gkk modulo the
+        off-diagonal entries, and it avoids the k!-term determinant.
+        """
         variables = entry_variables(k)
         gens = [
             MultiPoly.var(variables, f"g{i}{j}")
@@ -99,54 +99,46 @@ class GroupPresentation:
             for j in range(1, k + 1)
             if i != j
         ]
-        gens.append(MultiPoly.var(variables, INV_VAR) * det_polynomial(k, variables) - 1)
-        return cls(k, Ideal(variables, gens), f"torus({k})")
+        unit = MultiPoly.var(variables, INV_VAR)
+        for i in range(1, k + 1):
+            unit = unit * MultiPoly.var(variables, f"g{i}{i}")
+        gens.append(unit - 1)
+        return cls(k, Ideal(variables, gens), "torus")
 
     @classmethod
     def special_linear(cls, m: int) -> "GroupPresentation":
         variables = entry_variables(m)
         det = det_polynomial(m, variables)
         gens = [det - 1, MultiPoly.var(variables, INV_VAR) * det - 1]
-        return cls(m, Ideal(variables, gens), f"special-linear({m})")
+        return cls(m, Ideal(variables, gens), "special-linear")
 
     @classmethod
     def general_linear(cls, m: int) -> "GroupPresentation":
         variables = entry_variables(m)
         gens = [MultiPoly.var(variables, INV_VAR) * det_polynomial(m, variables) - 1]
-        return cls(m, Ideal(variables, gens), f"general-linear({m})")
-
-    @classmethod
-    def custom(cls, m: int, extra_relations: Sequence[MultiPoly]) -> "GroupPresentation":
-        variables = entry_variables(m)
-        det = det_polynomial(m, variables)
-        gens = list(extra_relations)
-        unit = MultiPoly.var(variables, INV_VAR) * det - 1
-        if not any(g == unit for g in gens):
-            gens.append(unit)
-        return cls(m, Ideal(variables, gens), "custom")
+        return cls(m, Ideal(variables, gens), "general-linear")
 
     def random_point(self, rng: random.Random) -> list[list[Fraction]]:
         """A rational point of the group, for representation spot-checks."""
         m = self.size
         if self.is_torus:
             return _diag_matrix([_nonzero_rational(rng) for _ in range(m)], Fraction(0))
-        if self.label.startswith("general-linear"):
+        if self.kind == "general-linear":
             while True:
                 mat = [
                     [Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)
                 ]
                 if _det(mat, 0) != 0:
                     return mat
-        if self.label.startswith("special-linear"):
-            mat = _diag_matrix([Fraction(1)] * m, Fraction(0))
-            if m >= 2:
-                for _ in range(3):
-                    i, j = rng.sample(range(m), 2)
-                    c = Fraction(rng.randint(-3, 3))
-                    for col in range(m):
-                        mat[i][col] += c * mat[j][col]
-            return mat
-        raise ValueError("cannot sample rational points of a custom group")
+        # special-linear: the identity after three elementary row operations
+        mat = _diag_matrix([Fraction(1)] * m, Fraction(0))
+        if m >= 2:
+            for _ in range(3):
+                i, j = rng.sample(range(m), 2)
+                c = Fraction(rng.randint(-3, 3))
+                for col in range(m):
+                    mat[i][col] += c * mat[j][col]
+        return mat
 
 
 def _diag_matrix(entries: Sequence, zero) -> list[list]:
@@ -357,8 +349,7 @@ def check_arc(group: GroupPresentation, arc: Arc) -> bool:
 def check_action(action: MatrixAction) -> bool:
     """Spot check of compatibility with the group multiplication:
     rho(ab) = rho(a) rho(b) on three deterministic pseudo-random pairs of
-    rational group points.  Raises ValueError for a custom presentation,
-    whose points cannot be sampled.
+    rational group points.
     """
     group = action.group
     rng = random.Random(20240719)
@@ -556,18 +547,6 @@ def arc_norm(rep_v: Representation, v: Sequence[Fraction], arc: Arc):
     d = deg_of_rep(rep_v, arc.size)
     ord_v = ord0(act(rep_v, arc, v))
     return ord_v - d * ord0(arc.entries())
-
-
-def point_in_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
-    """Exact test for membership of a point in conv(generators)."""
-    gens = list(generators)
-    if not gens:
-        return False
-    k = len(point)
-    a_eq = [[Fraction(g[i]) for g in gens] for i in range(k)]
-    a_eq.append([Fraction(1)] * len(gens))
-    b_eq = [Fraction(point[i]) for i in range(k)] + [Fraction(1)]
-    return linprog.solve_lp([0] * len(gens), a_eq=a_eq, b_eq=b_eq).status == linprog.OPTIMAL
 
 
 def diagonal_action(group: GroupPresentation, weights: Sequence[Sequence[int]]) -> MatrixAction:

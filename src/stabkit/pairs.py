@@ -30,7 +30,6 @@ from .groups import (
     check_arc,
     deg_of_rep,
     mu_weight,
-    point_in_hull,  # noqa: F401 - kept importable as pairs.point_in_hull
 )
 
 
@@ -95,10 +94,13 @@ def torus_supports(pair: Pair) -> tuple[list[tuple[int, ...]], list[tuple[int, .
     return supp_v, supp_w
 
 
-def _barycentric_lp(
+def point_in_hull(
     point: Sequence[int], support: Sequence[tuple[int, ...]]
 ) -> list[Fraction] | None:
-    """Convex coefficients writing the point over the support, or None."""
+    """Convex coefficients writing the point over the support, or None when
+    the support is empty or the point lies outside its hull."""
+    if not support:
+        return None
     k = len(point)
     a_eq = [[q[i] for q in support] for i in range(k)]
     a_eq.append([1] * len(support))
@@ -154,7 +156,7 @@ def supports_semistable(
         return True, {"reason": "w = 0; the orbit closure stays inside P(V + 0)"}
     witnesses = []
     for chi in supp_w:
-        lam = _barycentric_lp(chi, supp_v)
+        lam = point_in_hull(chi, supp_v)
         if lam is None:
             a = separating_exponents(chi, supp_v)
             return False, {"exponents": a, "separated_weight": list(chi)}
@@ -354,13 +356,6 @@ def sample_falsifier(
     after re-verification, or None once the budget is spent.  A negative
     result is not a semistability proof for non-abelian groups.
     """
-    label = pair.group.label
-    if not (
-        pair.group.is_torus
-        or label.startswith("special-linear")
-        or label.startswith("general-linear")
-    ):
-        raise ValueError(f"unsupported group for falsification: {label}")
     if all(c == 0 for c in pair.w):
         return None
     rng = random.Random(seed)
@@ -381,7 +376,7 @@ def _draw_arc(group: GroupPresentation, rng: random.Random) -> Arc:
     m = group.size
     if group.is_torus:
         return Arc.one_ps([rng.randint(-2, 2) for _ in range(m)])
-    special = group.label.startswith("special-linear")
+    special = group.kind == "special-linear"
     arc = Arc.identity(m)
     for _ in range(rng.randint(1, 3)):
         if m >= 2 and rng.randint(0, 1) == 0:

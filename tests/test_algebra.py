@@ -63,7 +63,6 @@ class TestLaurent:
         assert p * q == parse_laurent("t^-1 - t")
         assert p + q == parse_laurent("t^-1 + t")
         assert p - p == LaurentPoly.zero()
-        assert p.shift(2) == parse_laurent("t^2 + t^3")
         assert p.pow(2) == parse_laurent("1 + 2*t + t^2")
 
     def test_negative_pow_rejected(self):

@@ -5,9 +5,11 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabkit.algebra import format_multi
-from stabkit.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, execute_job, main
+from stabkit.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, _mismatch, execute_job, main
 from stabkit.groups import GroupPresentation, sym_action
 
 QUARTIC_PAIR = {
@@ -198,6 +200,23 @@ class TestRun:
         assert reports[0] == reports[1]
         assert "norm" in reports[0]
 
+    @pytest.mark.parametrize(
+        "w_weight, verdict", [([1] * 9, "semistable"), ([2] * 9, "unstable")]
+    )
+    def test_rank_nine_pair(self, tmp_path, capsys, w_weight, verdict):
+        # the schema's largest rank: nine weights 9*e_i around the all-ones weight
+        weights_v = [[9 if i == j else 0 for j in range(9)] for i in range(9)]
+        payload = {"rank": 9, "weights_v": weights_v, "weights_w": [w_weight], "v": [1] * 9, "w": [1]}
+        job = {"schema_version": 1, "kind": "pairs.check", "payload": payload}
+        code, out, err = run_cli(tmp_path, capsys, job)
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        assert report["verdict"] == verdict
+        if verdict == "semistable":
+            assert report["certificate"]["containment"][0]["coefficients"] == ["1/9"] * 9
+        else:
+            assert report["certificate"]["exponents"] == [-1] * 9
+
     def test_unreadable_and_unparsable_documents(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == EXIT_INVALID
         broken = tmp_path / "broken.json"
@@ -255,6 +274,57 @@ class TestExecuteJob:
         }
         report = execute_job(job)
         assert report["verdict"] == "does-not-degenerate"
+
+
+def ref_matches(expected, actual) -> bool:
+    """The two-pass corpus matcher that `_mismatch` replaced: the match test."""
+    if isinstance(expected, dict):
+        if not isinstance(actual, dict):
+            return False
+        return all(k in actual and ref_matches(v, actual[k]) for k, v in expected.items())
+    if isinstance(expected, list):
+        if not isinstance(actual, list) or len(expected) != len(actual):
+            return False
+        return all(ref_matches(e, a) for e, a in zip(expected, actual))
+    return expected == actual
+
+
+def ref_first_mismatch(expected, actual, path=""):
+    """The two-pass corpus matcher that `_mismatch` replaced: the message."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        for k, v in expected.items():
+            if k not in actual:
+                return f"{path}.{k} missing"
+            if not ref_matches(v, actual[k]):
+                return ref_first_mismatch(v, actual[k], f"{path}.{k}")
+        return f"{path} mismatch"
+    if isinstance(expected, list) and isinstance(actual, list):
+        if len(expected) != len(actual):
+            return f"{path} length {len(actual)} != {len(expected)}"
+        for i, (e, a) in enumerate(zip(expected, actual)):
+            if not ref_matches(e, a):
+                return ref_first_mismatch(e, a, f"{path}[{i}]")
+        return f"{path} mismatch"
+    return f"{path}: expected {expected!r}, got {actual!r}"
+
+
+json_values = st.recursive(
+    st.integers(min_value=0, max_value=2) | st.sampled_from(["a", "b"]) | st.booleans(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from("xyz"), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(json_values, json_values)
+@settings(max_examples=300, deadline=None)
+def test_mismatch_agrees_with_the_two_pass_matcher(expected, actual):
+    cases = [(expected, actual), (expected, expected)]
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        cases.append((expected, {**actual, **expected}))
+    for e, a in cases:
+        want = None if ref_matches(e, a) else ref_first_mismatch(e, a)
+        assert _mismatch(e, a) == want
 
 
 class TestCorpus:

@@ -1,5 +1,6 @@
 """Group presentations, representations, arcs, and arc weights."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit.algebra import LaurentPoly, parse_laurent, parse_multi
+from stabkit import groups
+from stabkit.algebra import Ideal, LaurentPoly, MultiPoly, parse_laurent, parse_multi
 from stabkit.groups import (
     INV_VAR,
     Arc,
@@ -25,18 +27,37 @@ from stabkit.groups import (
     diagonal_action,
     entry_variables,
     mu_weight,
-    point_in_hull,
     rep_weights,
     sym_action,
 )
+from stabkit.pairs import point_in_hull
 
 T2 = GroupPresentation.torus(2)
 SL2 = GroupPresentation.special_linear(2)
 GL2 = GroupPresentation.general_linear(2)
 
+KINDS = {
+    "torus": GroupPresentation.torus,
+    "special-linear": GroupPresentation.special_linear,
+    "general-linear": GroupPresentation.general_linear,
+}
+
+
 def sym_gl2_weights(d: int) -> TorusWeights:
     """Torus weights of Sym^d of the standard GL_2 action, basis x^d, ..., y^d."""
     return TorusWeights([(i, d - i) for i in range(d, -1, -1)])
+
+
+def leibniz_det(ring, k: int) -> MultiPoly:
+    """Generic k*k determinant as a signed sum over permutations."""
+    out = MultiPoly.zero(ring)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(k), 2))
+        term = MultiPoly.constant(ring, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * MultiPoly.var(ring, f"g{i + 1}{j + 1}")
+        out = out + term
+    return out
 
 
 small_exps = st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=2)
@@ -64,15 +85,48 @@ class TestPresentations:
 
     def test_random_points_satisfy_relations(self):
         rng = random.Random(7)
-        for group in (T2, SL2, GL2):
+        for (kind, build), m in itertools.product(KINDS.items(), [1, 2, 3]):
+            group = build(m)
+            assert group.kind == kind
+            det = det_polynomial(m, entry_variables(m)).extend(group.variables)
             for _ in range(5):
                 point = group.random_point(rng)
-                m = group.size
                 values = {f"g{i + 1}{j + 1}": point[i][j] for i in range(m) for j in range(m)}
-                det = det_polynomial(m, entry_variables(m)).extend(group.variables)
                 values[INV_VAR] = 1 / det.subs(values | {INV_VAR: Fraction(0)})
                 for rel in group.relations.generators:
                     assert rel.subs(values) == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_torus_relations_generate_the_determinant_ideal(self, k):
+        ring = entry_variables(k)
+        off_diagonal = [
+            MultiPoly.var(ring, f"g{i}{j}")
+            for i in range(1, k + 1)
+            for j in range(1, k + 1)
+            if i != j
+        ]
+        unit = MultiPoly.var(ring, INV_VAR) * leibniz_det(ring, k) - 1
+        assert GroupPresentation.torus(k).relations == Ideal(ring, off_diagonal + [unit])
+
+    def test_rank_nine_torus_has_a_two_term_unit_relation(self):
+        gens = GroupPresentation.torus(9).relations.generators
+        assert len(gens) == 73
+        (unit,) = [g for g in gens if g.uses_variable(INV_VAR)]
+        assert len(unit.terms) == 2
+
+    def test_each_constructor_builds_the_determinant_at_most_once(self, monkeypatch):
+        calls = []
+        original = groups.det_polynomial
+
+        def counting(m, variables):
+            calls.append(m)
+            return original(m, variables)
+
+        monkeypatch.setattr(groups, "det_polynomial", counting)
+        for kind, expected in (("torus", 0), ("special-linear", 1), ("general-linear", 1)):
+            calls.clear()
+            KINDS[kind](3)
+            assert len(calls) == expected
 
     def test_torus_points_are_diagonal(self):
         point = T2.random_point(random.Random(3))

@@ -1,9 +1,11 @@
-"""Every public module-level function of the package is used by the package.
+"""Every public function and method of the package is used by the package.
 
 A helper that only tests call is dead weight: it has to be kept correct and
-read, yet no job ever runs it.  A name counts as used when it appears as a
-whole word on some line of `src/stabkit` other than its own `def` line, an
-import statement or an `__init__.py`.
+read, yet no job ever runs it.  A module-level function counts as used when
+its name appears as a whole word on some line of `src/stabkit` other than its
+own `def` line, an import statement or an `__init__.py`.  A public
+non-dunder method of a class counts as used when `.name` appears on such a
+line.
 """
 
 import ast
@@ -15,18 +17,23 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "stabkit"
 ALLOWED = {"point_in_hull": "benchmark/tests wraps pairs.point_in_hull"}
 
 
+def _modules() -> list[tuple[Path, ast.Module]]:
+    return [
+        (path, ast.parse(path.read_text()))
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "__init__.py"
+    ]
+
+
 def _usable_lines() -> list[tuple[Path, int, str]]:
     """(file, line number, text) of every line that may count as a use."""
     out = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        source = path.read_text()
+    for path, tree in _modules():
         skipped = set()
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 skipped.update(range(node.lineno, node.end_lineno + 1))
-        for number, text in enumerate(source.splitlines(), 1):
+        for number, text in enumerate(path.read_text().splitlines(), 1):
             if number not in skipped:
                 out.append((path, number, text))
     return out
@@ -34,27 +41,49 @@ def _usable_lines() -> list[tuple[Path, int, str]]:
 
 def _public_functions() -> list[tuple[Path, int, str]]:
     out = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text()).body:
+    for path, tree in _modules():
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 out.append((path, node.lineno, node.name))
     return out
 
 
-def test_every_public_function_has_a_caller_in_the_package():
+def _public_methods() -> list[tuple[Path, int, str, str]]:
+    """(file, def line, class name, method name) of every public non-dunder
+    method of every class in the package."""
+    out = []
+    for path, tree in _modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    out.append((path, node.lineno, cls.name, node.name))
+    return out
+
+
+def _unused(defs, pattern) -> list[str]:
+    """Entries of defs, (file, def line, label, name), whose name matches
+    `pattern` on no usable line but their own def line."""
     lines = _usable_lines()
     unused = []
-    for path, def_line, name in _public_functions():
-        if name in ALLOWED:
-            continue
-        word = re.compile(rf"\b{re.escape(name)}\b")
+    for path, def_line, label, name in defs:
+        word = re.compile(pattern(re.escape(name)))
         if not any(
             word.search(text) and (p, n) != (path, def_line) for p, n, text in lines
         ):
-            unused.append(f"{path.relative_to(SRC)}:{def_line} {name}")
-    assert unused == []
+            unused.append(f"{path.relative_to(SRC)}:{def_line} {label}")
+    return unused
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    defs = [(p, n, name, name) for p, n, name in _public_functions() if name not in ALLOWED]
+    assert _unused(defs, lambda name: rf"\b{name}\b") == []
+
+
+def test_every_public_method_has_a_caller_in_the_package():
+    defs = [(p, n, f"{cls}.{name}", name) for p, n, cls, name in _public_methods()]
+    assert _unused(defs, lambda name: rf"\.{name}\b") == []
 
 
 def test_allowlist_names_existing_functions():

@@ -10,10 +10,10 @@ from stabkit.groups import Arc, GroupPresentation, TorusWeights, mu_weight, sym_
 from stabkit.linprog import _primitive
 from stabkit.pairs import (
     Pair,
-    _barycentric_lp,
     associated_pair,
     dr_stable_at,
     minkowski_power,
+    point_in_hull,
     sample_falsifier,
     separating_exponents,
     simplex_weights,
@@ -106,9 +106,10 @@ class TestWitnessHelpers:
         assert _primitive([Fraction(-1, 2)]) == [-1]
 
     def test_barycentric_witness(self):
-        lam = _barycentric_lp((1, 1), [(0, 0), (2, 0), (0, 2)])
+        lam = point_in_hull((1, 1), [(0, 0), (2, 0), (0, 2)])
         assert lam == [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
-        assert _barycentric_lp((3, 3), [(0, 0), (2, 0), (0, 2)]) is None
+        assert point_in_hull((3, 3), [(0, 0), (2, 0), (0, 2)]) is None
+        assert point_in_hull((0, 0), []) is None
 
     def test_separating_exponents(self):
         a = separating_exponents((3, 3), [(0, 0), (2, 0), (0, 2)])
@@ -120,10 +121,8 @@ class TestWitnessHelpers:
     @given(weight_lists, st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
     @settings(max_examples=60, deadline=None)
     def test_separation_dichotomy(self, supp, point):
-        from stabkit.groups import point_in_hull
-
         if point_in_hull(point, supp):
-            lam = _barycentric_lp(point, supp)
+            lam = point_in_hull(point, supp)
             assert sum(lam) == 1
             assert all(x >= 0 for x in lam)
             for i in range(2):
@@ -296,10 +295,3 @@ class TestFalsifier:
         assert out is not None
         _, mu = out
         assert mu < 0
-
-    def test_custom_group_rejected(self):
-        group = GroupPresentation.custom(1, [])
-        rep = TorusWeights([(1,)])
-        pair = Pair(rep, rep, [1], [1], group)
-        with pytest.raises(ValueError):
-            sample_falsifier(pair)

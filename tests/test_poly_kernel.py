@@ -75,7 +75,7 @@ def ref_reduce(f, basis, order):
         m, c = work.lead(order)
         for (gm, gc), g in leads:
             if mono_divides(gm, m):
-                work = work - g.mul_term(mono_div(m, gm), c / gc)
+                work = work - g * MultiPoly.monomial(work.variables, mono_div(m, gm), c / gc)
                 break
         else:
             rem_terms[m] = c
@@ -121,12 +121,10 @@ class TestMultiKernel:
     def test_pow(self, a, n):
         assert_clean_multi(a.pow(n), ref_pow(a.terms, n, (0,) * len(RING), _mul_mono))
 
-    @given(multi_polys, rationals, monos)
+    @given(multi_polys, rationals)
     @settings(max_examples=100, deadline=None)
-    def test_scale_and_mul_term(self, a, c, mono):
+    def test_scale(self, a, c):
         assert_clean_multi(a.scale(c), {m: k * c for m, k in a.terms.items()} if c else {})
-        expected = {_mul_mono(m, mono): k * c for m, k in a.terms.items()} if c else {}
-        assert_clean_multi(a.mul_term(mono, c), expected)
 
     def test_constants_coerce(self):
         x = MultiPoly.var(RING, "x")
@@ -148,11 +146,10 @@ class TestLaurentKernel:
     def test_pow(self, a, n):
         assert_clean_laurent(a.pow(n), ref_pow(a.terms, n, 0, operator.add))
 
-    @given(laurent_polys, rationals, st.integers(min_value=-5, max_value=5))
+    @given(laurent_polys, rationals)
     @settings(max_examples=100, deadline=None)
-    def test_scale_and_shift(self, a, c, n):
+    def test_scale(self, a, c):
         assert_clean_laurent(a.scale(c), {e: k * c for e, k in a.terms.items()} if c else {})
-        assert_clean_laurent(a.shift(n), {e + n: k for e, k in a.terms.items()})
 
 
 class TestReduction:
@@ -175,8 +172,9 @@ class TestReduction:
     def test_spoly_matches_reference(self, f, g, order):
         (fm, fc), (gm, gc) = f.lead(order), g.lead(order)
         lcm = tuple(max(a, b) for a, b in zip(fm, gm))
-        expected = f.mul_term(mono_div(lcm, fm), 1 / fc) - g.mul_term(mono_div(lcm, gm), 1 / gc)
-        assert_clean_multi(spoly(f, g, order), expected.terms)
+        left = f * MultiPoly.monomial(RING, mono_div(lcm, fm), 1 / fc)
+        right = g * MultiPoly.monomial(RING, mono_div(lcm, gm), 1 / gc)
+        assert_clean_multi(spoly(f, g, order), (left - right).terms)
 
     def test_ring_mismatch_rejected(self):
         f = MultiPoly.var(RING, "x")
