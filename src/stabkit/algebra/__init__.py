@@ -15,7 +15,6 @@ from .ideals import (
     radical_member,
     reduce_poly,
     saturate,
-    spoly,
 )
 from .laurent import LaurentFrac, LaurentPoly, ord0
 from .multipoly import GREVLEX, LEX, MonomialOrder, MultiPoly
@@ -57,5 +56,4 @@ __all__ = [
     "radical_member",
     "reduce_poly",
     "saturate",
-    "spoly",
 ]

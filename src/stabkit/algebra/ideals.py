@@ -1,13 +1,26 @@
 """Ideals and a budgeted Buchberger engine.
 
 The pair queue uses the normal selection strategy (smallest lcm in the
-monomial order) with Gebauer-Moeller style chain and coprimality pruning.
-Work is metered in S-polynomial reductions; exhausting the budget raises
-BudgetError instead of returning a partial basis.
+monomial order, ties by pair index) with Gebauer-Moeller style chain and
+coprimality pruning.  Work is metered in S-polynomial reductions; exhausting
+the budget raises BudgetError instead of returning a partial basis.
+
+The engine computes each monomial's order key once.  A basis element enters
+as a lead entry (order key, leading monomial, leading coefficient, tail,
+divisibility mask), built once and kept in a list sorted smallest lead
+first; a pair carries its lcm and the lcm's key from when it enters the
+queue.  Reduction keeps its working terms in a heap of negated keys
+(Monagan & Pearce, J. Symb. Comp. 46, 2011) and skips the reducer's lead
+term, which cancels exactly.  A short exponent vector mask rules out most
+divisibility tests before exponents are compared.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, itemgetter
 from typing import Iterable, Sequence
 
 from .multipoly import (
@@ -99,75 +112,125 @@ class Ideal:
 def reduce_poly(f: MultiPoly, basis: Sequence[MultiPoly], order: MonomialOrder) -> MultiPoly:
     """Full normal form of f modulo basis.
 
-    Reducers are tried smallest leading monomial first, which makes the
-    result deterministic for any input list.  Each step subtracts a term
-    multiple of the reducer from one working term dict in place.
+    Reducers are tried smallest leading monomial first (ties in list order),
+    which makes the result deterministic for any input list.
     """
     for g in basis:
         f._check_ring(g)
-    leads = sorted(
-        ((g.lead(order), g) for g in basis if not g.is_zero()),
-        key=lambda item: order.key(item[0][0]),
-    )
-    rem_terms: dict = {}
-    work = dict(f.terms)
-    while work:
-        m = max(work, key=order.key)
-        c = work[m]
-        for (gm, gc), g in leads:
-            if mono_divides(gm, m):
-                _mul_into(work, {mono_div(m, gm): -c / gc}, g.terms, _mul_mono)
+    reducers = sorted((_lead(g, order) for g in basis if not g.is_zero()), key=itemgetter(0))
+    return MultiPoly._trusted(f.variables, _normal_form(dict(f.terms), reducers, order))
+
+
+# A lead entry (key, lm, lc, tail, mask) holds what the engine reads of a
+# nonzero polynomial: the order key of its leading monomial lm, the leading
+# coefficient lc, the other terms, and the divisibility mask of lm.
+
+
+def _divmask(m) -> int:
+    """Short exponent vector: three bits per exponent e, the low min(e, 3)
+    of them set.  If a divides b then _divmask(a) & ~_divmask(b) == 0, so a
+    nonzero result rules out divisibility without comparing exponents."""
+    mask = 0
+    for e in m:
+        mask = (mask << 3) | (7 if e > 2 else (1 << e) - 1)
+    return mask
+
+
+def _lead(g: MultiPoly, order: MonomialOrder) -> tuple:
+    lm, lc = g.lead(order)
+    tail = dict(g.terms)
+    del tail[lm]
+    return order.key(lm), lm, lc, tail, _divmask(lm)
+
+
+def _normal_form(work: dict, reducers: Sequence[tuple], order: MonomialOrder) -> dict:
+    """Remainder terms, largest first, of the term dict `work` (consumed)
+    modulo lead entries sorted smallest lead first.
+
+    The working monomials sit in a heap of negated order keys, so each one is
+    keyed once, when it enters `work`.  A reduction step adds a term multiple
+    of the reducer's tail only: its lead term cancels the current term
+    exactly.  A monomial that cancels and comes back has a second heap entry;
+    whichever is popped later finds it gone from `work` and is skipped.
+    """
+    hkey = order.heap_key
+    heap = [(hkey(m), m) for m in work]
+    heapify(heap)
+    rem = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        outside = ~_divmask(m)
+        for _, gm, gc, tail, gmask in reducers:
+            if not gmask & outside and mono_divides(gm, m):
+                q = mono_div(m, gm)
+                f = -c / gc
+                for t, tc in tail.items():
+                    n = tuple(map(add, q, t))
+                    s = work.get(n)
+                    if s is None:
+                        work[n] = f * tc
+                        heappush(heap, (hkey(n), n))
+                    else:
+                        s += f * tc
+                        if s:
+                            work[n] = s
+                        else:
+                            del work[n]
                 break
         else:
-            rem_terms[m] = c
-            del work[m]
-    return MultiPoly._trusted(f.variables, rem_terms)
+            rem[m] = c
+    return rem
 
 
-def spoly(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    f._check_ring(g)
-    fm, fc = f.lead(order)
-    gm, gc = g.lead(order)
-    l = mono_lcm(fm, gm)
-    out = _mul_into({}, {mono_div(l, fm): 1 / fc}, f.terms, _mul_mono)
-    return MultiPoly._trusted(
-        f.variables, _mul_into(out, {mono_div(l, gm): -1 / gc}, g.terms, _mul_mono)
-    )
+def _spoly(a: tuple, b: tuple) -> dict:
+    """Terms of the S-polynomial of two lead entries; the scaled lead terms
+    cancel exactly, so only the tails are multiplied out."""
+    _, am, ac, atail, _ = a
+    _, bm, bc, btail, _ = b
+    l = mono_lcm(am, bm)
+    out = _mul_into({}, {mono_div(l, am): 1 / ac}, atail, _mul_mono)
+    return _mul_into(out, {mono_div(l, bm): -1 / bc}, btail, _mul_mono)
 
 
-def _update_pairs(lms, P):
-    """Add pairs against the newest generator, whose leading monomial is
-    lms[-1], pruning with the chain and coprimality criteria
-    (Gebauer-Moeller B, M, F and the product test)."""
-    t = len(lms) - 1
-    lmt = lms[t]
+def _update_pairs(leads: list, P: list, order: MonomialOrder) -> list:
+    """The pair heap after adding the newest lead entry leads[-1], pruned
+    with the chain and coprimality criteria (Gebauer-Moeller B, M, F and the
+    product test).
+
+    A pair is (lcm key, i, j, lcm, lcm mask) with i < j, so the heap pops the
+    smallest lcm first, ties broken by (i, j).
+    """
+    t = len(leads) - 1
+    _, lmt, _, _, maskt = leads[t]
+    cand = [mono_lcm(entry[1], lmt) for entry in leads[:t]]
     # B: an old pair is covered by the new generator when its lcm is a proper
     # multiple of both mixed lcms
-    kept = []
-    for i, j in P:
-        lij = mono_lcm(lms[i], lms[j])
-        if (
-            mono_divides(lmt, lij)
-            and mono_lcm(lms[i], lmt) != lij
-            and mono_lcm(lms[j], lmt) != lij
-        ):
-            continue
-        kept.append((i, j))
-    # M: among the new pairs keep those with minimal lcm
-    cand = {i: mono_lcm(lms[i], lmt) for i in range(t)}
-    minimal = []
-    for i, li in cand.items():
-        if any(mono_divides(cand[j], li) and cand[j] != li for j in cand):
-            continue
-        minimal.append(i)
-    # F: one representative per lcm value
-    seen: dict = {}
-    for i in minimal:
-        seen.setdefault(cand[i], i)
-    # product criterion: coprime leading monomials reduce to zero
-    for li, i in sorted(seen.items(), key=lambda kv: kv[1]):
-        if li != _mul_mono(lms[i], lmt):
-            kept.append((i, t))
+    kept = [
+        pair
+        for pair in P
+        if maskt & ~pair[4]
+        or not mono_divides(lmt, pair[3])
+        or cand[pair[1]] == pair[3]
+        or cand[pair[2]] == pair[3]
+    ]
+    # M: among the new pairs keep those whose lcm no other lcm properly
+    # divides.  Taking the distinct lcms by degree, a proper divisor comes
+    # first, and testing against the minimal ones found so far suffices.
+    minimal: dict = {}  # minimal lcm -> its mask
+    for li in sorted(set(cand), key=sum):
+        outside = ~_divmask(li)
+        if not any(not mask & outside and mono_divides(lj, li) for lj, mask in minimal.items()):
+            minimal[li] = ~outside
+    # F: one representative per lcm value, its first index; product
+    # criterion: coprime leading monomials reduce to zero
+    for i, li in enumerate(cand):
+        mask = minimal.pop(li, None)
+        if mask is not None and li != _mul_mono(leads[i][1], lmt):
+            kept.append((order.key(li), i, t, li, mask))
+    heapify(kept)
     return kept
 
 
@@ -176,54 +239,65 @@ def buchberger(
     order: MonomialOrder = GREVLEX,
     budget: Budget | int | None = None,
 ) -> list[MultiPoly]:
-    """Reduced Groebner basis of the given generators."""
+    """Reduced Groebner basis of the given generators.
+
+    Each basis element enters as a lead entry, built once; `reducers` keeps
+    the entries smallest lead first, ties in order of entry.
+    """
     budget = Budget.coerce(budget)
-    G: list[MultiPoly] = []
-    lms: list = []  # leading monomial of each member of G
-    P: list[tuple[int, int]] = []
-    seed = sorted(
-        (g for g in gens if not g.is_zero()),
-        key=lambda g: order.key(g.lead(order)[0]),
-    )
-    for g in seed:
-        G.append(g)
-        lms.append(g.lead(order)[0])
-        P = _update_pairs(lms, P)
+    gens = [g for g in gens if not g.is_zero()]
+    for g in gens:
+        gens[0]._check_ring(g)
+    leads: list[tuple] = []  # lead entry of each basis element, by index
+    reducers: list[tuple] = []
+    P: list[tuple] = []
+
+    def admit(entry, pairs):
+        leads.append(entry)
+        insort(reducers, entry, key=itemgetter(0))
+        return _update_pairs(leads, pairs, order)
+
+    for entry in sorted((_lead(g, order) for g in gens), key=itemgetter(0)):
+        P = admit(entry, P)
     while P:
         # normal strategy: smallest lcm first
-        best = min(
-            range(len(P)),
-            key=lambda idx: (order.key(mono_lcm(lms[P[idx][0]], lms[P[idx][1]])), P[idx]),
-        )
-        i, j = P.pop(best)
+        _, i, j, _, _ = heappop(P)
         budget.spend()
-        s = reduce_poly(spoly(G[i], G[j], order), G, order)
-        if not s.is_zero():
-            G.append(s)
-            lms.append(s.lead(order)[0])
-            P = _update_pairs(lms, P)
-    return _interreduce(_minimalize(G, order), order)
+        rem = _normal_form(_spoly(leads[i], leads[j]), reducers, order)
+        if rem:
+            P = admit(_lead(MultiPoly._trusted(gens[0].variables, rem), order), P)
+    return [
+        MultiPoly._trusted(gens[0].variables, terms)
+        for terms in _interreduce(_minimalize(reducers), order)
+    ]
 
 
-def _minimalize(G: Sequence[MultiPoly], order: MonomialOrder) -> list[MultiPoly]:
-    """Drop generators whose leading monomial another one divides."""
-    out: list[MultiPoly] = []
-    for g in sorted(G, key=lambda g: order.key(g.lead(order)[0])):
-        gm = g.lead(order)[0]
-        if not any(mono_divides(h.lead(order)[0], gm) for h in out):
-            out.append(g)
+def _minimalize(reducers: Sequence[tuple]) -> list[tuple]:
+    """Drop entries whose leading monomial an earlier one divides."""
+    out: list[tuple] = []
+    for entry in reducers:
+        _, gm, _, _, gmask = entry
+        outside = ~gmask
+        if not any(not hmask & outside and mono_divides(hm, gm) for _, hm, _, _, hmask in out):
+            out.append(entry)
     return out
 
 
-def _interreduce(G: Sequence[MultiPoly], order: MonomialOrder) -> list[MultiPoly]:
-    """Fully reduce each generator against the others and normalize monic."""
+def _interreduce(G: Sequence[tuple], order: MonomialOrder) -> list[dict]:
+    """Monic terms of each entry with its tail reduced modulo the others.
+
+    In a minimal basis no other lead divides a lead, so each lead survives
+    and the output keeps the order of G, smallest lead first.
+    """
     out = []
-    for i, g in enumerate(G):
+    for i, (_, lm, lc, tail, _) in enumerate(G):
         others = [h for j, h in enumerate(G) if j != i]
-        r = reduce_poly(g, others, order) if others else g
-        if not r.is_zero():
-            out.append(r.monic(order))
-    out.sort(key=lambda g: order.key(g.lead(order)[0]))
+        rem = _normal_form(dict(tail), others, order)
+        inv = Fraction(1) / lc
+        terms = {lm: Fraction(1)}
+        for m, c in rem.items():
+            terms[m] = c * inv
+        out.append(terms)
     return out
 
 

@@ -8,6 +8,7 @@ lives in the one-variable module.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, neg, sub
 from typing import Callable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -30,14 +31,28 @@ class MonomialOrder:
         self.kind = kind
         self.split = split
 
-    def key(self, m: Monomial):
-        """Sort key: larger key = larger monomial."""
+    def key(self, m: Monomial) -> Monomial:
+        """Sort key, a flat tuple of ints: larger key = larger monomial.
+
+        grevlex: (deg, -e_n, ..., -e_1); block: the grevlex keys of the two
+        blocks one after the other; lex: m itself.
+        """
         if self.kind == "lex":
             return m
         if self.kind == "grevlex":
-            return _grevlex_key(m)
-        s = self.split
-        return (_grevlex_key(m[:s]), _grevlex_key(m[s:]))
+            return (sum(m), *map(neg, m[::-1]))
+        a, b = m[: self.split], m[self.split :]
+        return (sum(a), *map(neg, a[::-1]), sum(b), *map(neg, b[::-1]))
+
+    def heap_key(self, m: Monomial) -> Monomial:
+        """`key(m)` with every entry negated: a min-heap of these pops the
+        largest monomial first."""
+        if self.kind == "lex":
+            return tuple(map(neg, m))
+        if self.kind == "grevlex":
+            return (-sum(m), *m[::-1])
+        a, b = m[: self.split], m[self.split :]
+        return (-sum(a), *a[::-1], -sum(b), *b[::-1])
 
     def __repr__(self):
         if self.kind == "block":
@@ -45,16 +60,12 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind!r})"
 
 
-def _grevlex_key(m: Monomial):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
 
 
 def _mul_mono(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 # The sparse-term kernel shared with the Laurent module.  A term dict maps
@@ -99,17 +110,17 @@ def _pow_terms(terms: Mapping, n: int, one, add: Callable) -> dict:
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 class MultiPoly:
@@ -231,10 +242,6 @@ class MultiPoly:
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
-    def monic(self, order: MonomialOrder) -> "MultiPoly":
-        _, lc = self.lead(order)
-        return self.scale(Fraction(1) / lc)
-
     def degree_in(self, name: str) -> int:
         idx = self.variables.index(name)
         if not self.terms:
@@ -298,23 +305,28 @@ class MultiPoly:
     def subs(self, values: Mapping[str, object]):
         """Evaluate at values living in any commutative ring.
 
-        Values must support +, * and integer powers via repeated product;
-        rationals, MultiPoly, LaurentPoly and LaurentFrac all qualify.
-        Every variable must be assigned.
+        Values must support + and *; rationals, MultiPoly, LaurentPoly and
+        LaurentFrac all qualify.  Every variable must be assigned.  Powers
+        come from one table per variable, built by repeated product up to
+        the largest exponent used.
         """
         for v in self.variables:
             if v not in values:
                 raise ValueError(f"no value for variable {v!r}")
-        vals = [values[v] for v in self.variables]
+        powers = []  # powers[i][e] is the i-th value to the e-th power, e >= 1
+        for v, top in zip(self.variables, map(max, zip(*self.terms))):
+            base = values[v]
+            row = [None, base]
+            for _ in range(top - 1):
+                row.append(row[-1] * base)
+            powers.append(row)
         total = None
         for m, c in self.terms.items():
             term = None
-            for base, e in zip(vals, m):
+            for row, e in zip(powers, m):
                 if e == 0:
                     continue
-                p = base
-                for _ in range(e - 1):
-                    p = p * base
+                p = row[e]
                 term = p if term is None else term * p
             if term is None:
                 contrib = c

@@ -119,8 +119,13 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _build_group(desc: dict) -> GroupPresentation:
+def _build_group(desc: dict, *reps: dict) -> GroupPresentation:
+    """The job's group.  A `sym` representation among `reps` needs size 2;
+    that is checked first, because building an SL or GL group of size k
+    writes its k!-term determinant."""
     kind, size = desc["kind"], desc["size"]
+    if size != 2 and any(rep["kind"] == "sym" for rep in reps):
+        raise ValueError("symmetric-power helper is for 2x2 groups")
     if kind == "torus":
         return GroupPresentation.torus(size)
     if kind == "special-linear":
@@ -257,7 +262,7 @@ def _run_pairs_stable(payload: dict, budget: Budget, seed):
 
 
 def _run_pairs_falsify(payload: dict, budget: Budget, seed):
-    group = _build_group(payload["group"])
+    group = _build_group(payload["group"], payload["rep_v"], payload["rep_w"])
     pair = Pair(
         _build_rep(payload["rep_v"], group),
         _build_rep(payload["rep_w"], group),
@@ -275,7 +280,7 @@ def _run_pairs_falsify(payload: dict, budget: Budget, seed):
 
 
 def _run_arcs_weight(payload: dict, budget: Budget, seed):
-    group = _build_group(payload["group"])
+    group = _build_group(payload["group"], payload["rep_v"], payload["rep_w"])
     rep_v = _build_rep(payload["rep_v"], group)
     rep_w = _build_rep(payload["rep_w"], group)
     arc = _build_arc(payload["arc"])
@@ -304,7 +309,7 @@ def _run_arcs_equiv(payload: dict, budget: Budget, seed):
 
 
 def _problem_from_payload(payload: dict) -> ActionProblem:
-    group = _build_group(payload["group"])
+    group = _build_group(payload["group"], payload["action"])
     action = _build_action(payload["action"], group)
     space = list(payload["space"])
     limit = list(payload["limit"])

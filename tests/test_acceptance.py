@@ -17,13 +17,15 @@ from stabkit.algebra import (
     LEX,
     Ideal,
     LaurentPoly,
+    MultiPoly,
     eliminate,
     format_multi,
     groebner,
     parse_multi,
     saturate,
 )
-from stabkit.algebra.ideals import reduce_poly, spoly
+from stabkit.algebra.ideals import reduce_poly
+from stabkit.algebra.multipoly import mono_div
 from stabkit.cli import main
 from stabkit.groups import (
     Arc,
@@ -471,11 +473,19 @@ def test_a10_line_family_unstable_exactly_at_origin():
 # -- Groebner gate -----------------------------------------------------------
 
 
+def s_poly(f, g, order):
+    """S-polynomial, built from `lead` and ring arithmetic."""
+    (fm, fc), (gm, gc) = f.lead(order), g.lead(order)
+    lcm = tuple(map(max, fm, gm))
+    left = f * MultiPoly.monomial(f.variables, mono_div(lcm, fm), 1 / fc)
+    return left - g * MultiPoly.monomial(g.variables, mono_div(lcm, gm), 1 / gc)
+
+
 def buchberger_holds(basis, order):
     gens = list(basis.generators)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            s = spoly(gens[i], gens[j], order)
+            s = s_poly(gens[i], gens[j], order)
             if not reduce_poly(s, gens, order).is_zero():
                 return False
     return True

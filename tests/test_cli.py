@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stabkit.algebra import format_multi
 from stabkit.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, _mismatch, execute_job, main
+from stabkit import groups
 from stabkit.groups import GroupPresentation, sym_action
 
 QUARTIC_PAIR = {
@@ -199,6 +200,24 @@ class TestRun:
             reports.append(json.loads(out)["values"])
         assert reports[0] == reports[1]
         assert "norm" in reports[0]
+
+    @pytest.mark.parametrize("kind", ["arcs.weight", "pairs.falsify"])
+    def test_sym_on_a_size_seven_group_is_rejected_before_the_group(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        def no_determinant(*args):
+            raise AssertionError("determinant built")
+
+        monkeypatch.setattr(groups, "det_polynomial", no_determinant)
+        job = gl2_weight_job({"kind": "sym", "degree": 2}, [1, 0, 1])
+        job["kind"] = kind
+        job["payload"]["group"] = {"kind": "special-linear", "size": 7}
+        if kind == "pairs.falsify":
+            del job["payload"]["arc"]
+        code, out, err = run_cli(tmp_path, capsys, job)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "symmetric-power helper is for 2x2 groups" in err
 
     @pytest.mark.parametrize(
         "w_weight, verdict", [([1] * 9, "semistable"), ([2] * 9, "unstable")]
