@@ -1,9 +1,12 @@
 """Exact convex geometry in dimensions one and two.
 
-Everything operates on Fraction coordinates: monotone-chain hulls, shoelace
-areas and centroids, Sutherland-Hodgman halfplane clipping, and the lattice
-(normalized) measure on edges, where a segment between integer points has
-measure gcd of the coordinate differences.
+Everything operates on Fraction coordinates.  A cell is its vertex list:
+`[(lo,), (hi,)]` for an interval, counterclockwise for a polygon.  Cells are
+cut by halfspaces with Sutherland-Hodgman clipping, which treats an interval
+as a two-vertex cycle, and measured by length or shoelace area.  Alongside
+sit monotone-chain hulls and the lattice (normalized) measure on edges, where
+a segment between integer points has measure gcd of the coordinate
+differences.
 """
 
 from __future__ import annotations
@@ -66,46 +69,45 @@ def polygon_centroid(verts: Sequence[Point]) -> Point:
     return (cx / (6 * a), cy / (6 * a))
 
 
-def clip_polygon(verts: Sequence[Point], normal: Point, offset: Fraction) -> list[Point]:
-    """Intersect a convex polygon with the halfplane normal.p >= offset."""
-    if not verts:
+def cell_measure(cell: Sequence[tuple]) -> Fraction:
+    """Length of an interval cell, signed area of a polygon cell."""
+    if cell and len(cell[0]) == 1:
+        return cell[-1][0] - cell[0][0]
+    return polygon_area(cell)
+
+
+def cell_centroid(cell: Sequence[tuple]) -> tuple:
+    """Midpoint of an interval cell, centroid of a polygon cell."""
+    if len(cell[0]) == 1:
+        return ((cell[0][0] + cell[-1][0]) / 2,)
+    return polygon_centroid(cell)
+
+
+def clip(cell: Sequence[tuple], normal: Sequence[Fraction], offset: Fraction) -> list[tuple]:
+    """Intersect a convex cell with the halfspace normal.p >= offset."""
+    if not cell:
         return []
-    ux, uy = Fraction(normal[0]), Fraction(normal[1])
+    normal = [Fraction(u) for u in normal]
     off = Fraction(offset)
-
-    def side(p: Point) -> Fraction:
-        return ux * p[0] + uy * p[1] - off
-
-    out: list[Point] = []
-    n = len(verts)
+    sides = [sum((u * x for u, x in zip(normal, p)), -off) for p in cell]
+    out: list[tuple] = []
+    n = len(cell)
     for i in range(n):
-        cur, nxt = verts[i], verts[(i + 1) % n]
-        s_cur, s_nxt = side(cur), side(nxt)
+        cur, nxt = cell[i], cell[(i + 1) % n]
+        s_cur, s_nxt = sides[i], sides[(i + 1) % n]
         if s_cur >= 0:
             out.append(cur)
         if (s_cur > 0 and s_nxt < 0) or (s_cur < 0 and s_nxt > 0):
             t = s_cur / (s_cur - s_nxt)
-            out.append(
-                (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
-            )
+            out.append(tuple(a + t * (b - a) for a, b in zip(cur, nxt)))
     # drop consecutive duplicates introduced by vertices on the cut line
-    dedup: list[Point] = []
+    dedup: list[tuple] = []
     for p in out:
         if not dedup or p != dedup[-1]:
             dedup.append(p)
     if len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
     return dedup
-
-
-def point_in_polygon(p: Point, verts_ccw: Sequence[Point]) -> bool:
-    """Closed containment test for a convex CCW polygon."""
-    n = len(verts_ccw)
-    px, py = Fraction(p[0]), Fraction(p[1])
-    for i in range(n):
-        if _cross(verts_ccw[i], verts_ccw[(i + 1) % n], (px, py)) < 0:
-            return False
-    return True
 
 
 def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -122,20 +124,3 @@ def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
 def lattice_edge_length(p: Point, q: Point) -> Fraction:
     """Lattice-normalized length of the segment pq."""
     return rational_gcd(q[0] - p[0], q[1] - p[1])
-
-
-def clip_interval(
-    lo: Fraction, hi: Fraction, coeff: Fraction, offset: Fraction
-) -> tuple[Fraction, Fraction] | None:
-    """Intersect [lo, hi] with {x : coeff*x >= offset}; None when empty."""
-    coeff, offset = Fraction(coeff), Fraction(offset)
-    if coeff == 0:
-        return (lo, hi) if offset <= 0 else None
-    bound = offset / coeff
-    if coeff > 0:
-        lo = max(lo, bound)
-    else:
-        hi = min(hi, bound)
-    if lo > hi:
-        return None
-    return (lo, hi)

@@ -21,13 +21,11 @@ from . import linprog
 from .algebra.ideals import Budget
 from .geometry import (
     Point,
-    clip_interval,
-    clip_polygon,
+    cell_centroid,
+    cell_measure,
+    clip,
     convex_hull_2d,
     lattice_edge_length,
-    point_in_polygon,
-    polygon_area,
-    polygon_centroid,
 )
 
 
@@ -94,7 +92,8 @@ class Polytope:
     """Full-dimensional rational polytope in dimension one or two.
 
     One-dimensional polytopes are intervals [lo, hi]; two-dimensional ones
-    store their hull vertices counterclockwise.
+    store their hull vertices counterclockwise.  Either way the vertices form
+    a cell in the sense of `geometry`.
     """
 
     __slots__ = ("dim", "vertices")
@@ -119,10 +118,7 @@ class Polytope:
         return self.vertices[0][0], self.vertices[1][0]
 
     def volume(self) -> Fraction:
-        if self.dim == 1:
-            lo, hi = self.interval
-            return hi - lo
-        return polygon_area(self.vertices)
+        return cell_measure(self.vertices)
 
     def boundary_measure(self) -> Fraction:
         """Sum of lattice-normalized facet measures."""
@@ -187,7 +183,7 @@ class PLFunction:
         kept = [
             piece
             for i, piece in enumerate(f.pieces)
-            if _cell_measure(P, f.pieces, i) > 0
+            if cell_measure(_active_cell(P, f.pieces, i)) > 0
         ]
         return cls(P.dim, kept) if kept else f
 
@@ -202,39 +198,17 @@ class PLFunction:
     __hash__ = None
 
 
-def _active_cell_1d(P: Polytope, pieces, i) -> tuple[Fraction, Fraction] | None:
-    lo, hi = P.interval
-    for j, other in enumerate(pieces):
-        if j == i:
-            continue
-        coeff = pieces[i][0][0] - other[0][0]
-        offset = other[1] - pieces[i][1]
-        seg = clip_interval(lo, hi, coeff, offset)
-        if seg is None:
-            return None
-        lo, hi = seg
-    return lo, hi
-
-
-def _active_cell_2d(P: Polytope, pieces, i) -> list[Point]:
-    verts = list(P.vertices)
+def _active_cell(P: Polytope, pieces, i) -> list[tuple]:
+    """Vertices of the closed cell where piece i is the maximum; [] if empty."""
+    cell = list(P.vertices)
     gi, ci = pieces[i]
     for j, (gj, cj) in enumerate(pieces):
         if j == i:
             continue
-        normal = (gi[0] - gj[0], gi[1] - gj[1])
-        verts = clip_polygon(verts, normal, cj - ci)
-        if not verts:
-            return []
-    return verts
-
-
-def _cell_measure(P: Polytope, pieces, i) -> Fraction:
-    if P.dim == 1:
-        seg = _active_cell_1d(P, pieces, i)
-        return Fraction(0) if seg is None else seg[1] - seg[0]
-    cell = _active_cell_2d(P, pieces, i)
-    return polygon_area(cell) if len(cell) >= 3 else Fraction(0)
+        cell = clip(cell, [a - b for a, b in zip(gi, gj)], cj - ci)
+        if not cell:
+            break
+    return cell
 
 
 def integrate_pl(P: Polytope, f: PLFunction) -> Fraction:
@@ -245,20 +219,10 @@ def integrate_pl(P: Polytope, f: PLFunction) -> Fraction:
     """
     total = Fraction(0)
     for i, piece in enumerate(f.pieces):
-        if P.dim == 1:
-            seg = _active_cell_1d(P, f.pieces, i)
-            if seg is None or seg[1] == seg[0]:
-                continue
-            mid = ((seg[0] + seg[1]) / 2,)
-            total += (seg[1] - seg[0]) * affine_value(piece, mid)
-        else:
-            cell = _active_cell_2d(P, f.pieces, i)
-            if len(cell) < 3:
-                continue
-            area = polygon_area(cell)
-            if area == 0:
-                continue
-            total += area * affine_value(piece, polygon_centroid(cell))
+        cell = _active_cell(P, f.pieces, i)
+        measure = cell_measure(cell)
+        if measure != 0:
+            total += measure * affine_value(piece, cell_centroid(cell))
     return total
 
 
@@ -290,20 +254,10 @@ def boundary_integral_pl(P: Polytope, f: PLFunction) -> Fraction:
 
 def minimum_pl(P: Polytope, f: PLFunction) -> Fraction:
     """Exact minimum over the polytope, via the active-cell vertices."""
-    best = None
-    for i in range(len(f.pieces)):
-        if P.dim == 1:
-            seg = _active_cell_1d(P, f.pieces, i)
-            corners = [] if seg is None else [(seg[0],), (seg[1],)]
-        else:
-            corners = _active_cell_2d(P, f.pieces, i)
-        for p in corners:
-            v = f.value(p)
-            if best is None or v < best:
-                best = v
-    if best is None:
+    corners = [p for i in range(len(f.pieces)) for p in _active_cell(P, f.pieces, i)]
+    if not corners:
         raise AssertionError("no active cell found for a nonempty polytope")
-    return best
+    return min(f.value(p) for p in corners)
 
 
 def toric_hilb(P: Polytope) -> HilbCoeffs:
@@ -383,31 +337,16 @@ class UniformVerdict:
 def _arrangement_vertices(P: Polytope, creases: Sequence[Crease]) -> list[tuple]:
     """Vertices of the crease subdivision: every family member is affine on
     each cell, so minima live here."""
-    pts = set(P.vertices)
-    if P.dim == 1:
-        lo, hi = P.interval
-        for c in creases:
-            x = c.offset / c.normal[0]
-            if lo < x < hi:
-                pts.add((x,))
-        return sorted(pts)
+    cells = [list(P.vertices)]
     for c in creases:
-        for a, b in P.edges():
-            d0, d1 = c.gap(a), c.gap(b)
-            if d0 == d1:
-                continue
-            t = d0 / (d0 - d1)
-            if 0 <= t <= 1:
-                pts.add((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-    for c1, c2 in itertools.combinations(creases, 2):
-        det = c1.normal[0] * c2.normal[1] - c1.normal[1] * c2.normal[0]
-        if det == 0:
-            continue
-        x = (c1.offset * c2.normal[1] - c2.offset * c1.normal[1]) / det
-        y = (c1.normal[0] * c2.offset - c2.normal[0] * c1.offset) / det
-        if point_in_polygon((x, y), P.vertices):
-            pts.add((x, y))
-    return sorted(pts)
+        neg = tuple(-g for g in c.normal)
+        cells = [
+            half
+            for cell in cells
+            for half in (clip(cell, c.normal, c.offset), clip(cell, neg, -c.offset))
+            if half
+        ]
+    return sorted({p for cell in cells for p in cell})
 
 
 def _family_function(

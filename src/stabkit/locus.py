@@ -105,16 +105,19 @@ class LocusReport:
     overapproximation: bool
 
 
-def _action_images(prob: ActionProblem, ring: Sequence[str]) -> list[MultiPoly]:
-    """The coordinates of g . y1 as polynomials in the combined ring."""
+def _action_images(
+    prob: ActionProblem, ring: Sequence[str], coords: Sequence
+) -> list[MultiPoly]:
+    """The coordinates of g . y as polynomials in the combined ring, where y
+    is either the first copy's variables (names) or a rational point."""
+    ys = [MultiPoly.var(ring, c) if isinstance(c, str) else c for c in coords]
     out = []
-    for i in range(prob.dim):
+    for row in prob.action.matrix:
         acc = MultiPoly.zero(ring)
-        for j in range(prob.dim):
-            entry = prob.action.matrix[i][j]
-            if entry.is_zero():
+        for entry, y in zip(row, ys):
+            if entry.is_zero() or y == 0:  # a variable never equals 0
                 continue
-            acc = acc + entry.extend(ring) * MultiPoly.var(ring, prob.y1_vars[j])
+            acc = acc + entry.extend(ring) * y
         out.append(acc)
     return out
 
@@ -129,7 +132,7 @@ def graph_ideal(prob: ActionProblem) -> Ideal:
     ring = tuple(prob.group.variables) + prob.y1_vars + prob.y2_vars
     gens = [g.extend(ring) for g in prob.group.relations.generators]
     gens += [g.extend(ring) for g in prob.ideal_y.generators]
-    images = _action_images(prob, ring)
+    images = _action_images(prob, ring, prob.y1_vars)
     if prob.projective:
         for a, b in itertools.combinations(range(prob.dim), 2):
             ya = MultiPoly.var(ring, prob.y2_vars[a])
@@ -177,8 +180,16 @@ def orbit_map_closure(prob: ActionProblem, budget: Budget | int | None = None) -
     return eliminate(graph, prob.group.variables, budget)
 
 
-def _rename_to_copy2(prob: ActionProblem, f: MultiPoly, ring: Sequence[str]) -> MultiPoly:
-    return f.rename(prob.y2_vars).extend(ring)
+def _meet_target(prob: ActionProblem, ideal: Ideal, budget: Budget) -> Ideal:
+    """Add the target ideal in the second copy's variables; projective
+    problems then saturate by the second copy's irrelevant ideal."""
+    ring = ideal.variables
+    gens = list(ideal.generators)
+    gens += [g.rename(prob.y2_vars).extend(ring) for g in prob.ideal_w.generators]
+    total = Ideal(ring, gens)
+    if prob.projective:
+        total = saturate_by_all(total, _irrelevant(ring, prob.y2_vars), budget)
+    return total
 
 
 def locus_contains(ideal: Ideal, point: Sequence[Fraction]) -> bool:
@@ -200,13 +211,7 @@ def degeneration_locus(
     overapproximation flag.
     """
     budget = Budget.coerce(budget)
-    z = orbit_map_closure(prob, budget)
-    ring = z.variables
-    gens = list(z.generators)
-    gens += [_rename_to_copy2(prob, g, ring) for g in prob.ideal_w.generators]
-    total = Ideal(ring, gens)
-    if prob.projective:
-        total = saturate_by_all(total, _irrelevant(ring, prob.y2_vars), budget)
+    total = _meet_target(prob, orbit_map_closure(prob, budget), budget)
     locus = eliminate(total, prob.y2_vars, budget)
     rows = []
     overapprox = False
@@ -256,14 +261,7 @@ def point_degenerates(
         scale_vars = []
     ring = tuple(gvars + scale_vars + list(prob.y2_vars))
     gens = [g.extend(ring) for g in prob.group.relations.generators]
-    images = []
-    for i in range(prob.dim):
-        acc = MultiPoly.zero(ring)
-        for j in range(prob.dim):
-            if point[j] == 0:
-                continue
-            acc = acc + prob.action.matrix[i][j].extend(ring) * point[j]
-        images.append(acc)
+    images = _action_images(prob, ring, point)
     if prob.projective:
         cs = MultiPoly.var(ring, scale_vars[0])
         gens.append(cs * MultiPoly.var(ring, scale_vars[1]) - 1)
@@ -271,13 +269,7 @@ def point_degenerates(
     for i in range(prob.dim):
         gens.append(MultiPoly.var(ring, prob.y2_vars[i]) - images[i])
     closure = eliminate(Ideal(ring, gens), gvars + scale_vars, budget)
-
-    w_ring = closure.variables
-    total_gens = list(closure.generators)
-    total_gens += [g.rename(prob.y2_vars).extend(w_ring) for g in prob.ideal_w.generators]
-    total = Ideal(w_ring, total_gens)
-    if prob.projective:
-        total = saturate_by_all(total, _irrelevant(w_ring, prob.y2_vars), budget)
+    total = _meet_target(prob, closure, budget)
     return not groebner(total, budget=budget).is_trivial()
 
 

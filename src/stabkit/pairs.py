@@ -109,6 +109,17 @@ def point_in_hull(
     return res.x if res.status == linprog.OPTIMAL else None
 
 
+def _add_unit_box(a_ub: list, b_ub: list, k: int, width: int) -> None:
+    """Append the rows a_i <= 1 and -a_i <= 1 for each of the first k of
+    `width` LP variables."""
+    for i in range(k):
+        for sign in (1, -1):
+            row = [0] * width
+            row[i] = sign
+            a_ub.append(row)
+            b_ub.append(1)
+
+
 def separating_exponents(
     point: Sequence[int], support: Sequence[tuple[int, ...]]
 ) -> list[int]:
@@ -125,15 +136,7 @@ def separating_exponents(
     for q in support:  # level <= <a, q>
         a_ub.append([-q[i] for i in range(k)] + [1])
         b_ub.append(0)
-    for i in range(k):  # -1 <= a_i <= 1
-        row_hi = [0] * n
-        row_hi[i] = 1
-        a_ub.append(row_hi)
-        b_ub.append(1)
-        row_lo = [0] * n
-        row_lo[i] = -1
-        a_ub.append(row_lo)
-        b_ub.append(1)
+    _add_unit_box(a_ub, b_ub, k, n)
     res = linprog.solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=[False] * n)
     if res.status != linprog.OPTIMAL or res.objective >= 0:
         raise ValueError("no separating exponent vector: point lies in the hull")
@@ -317,15 +320,7 @@ def _dr_cone_violation(supp_v, supp_w, chi_v, chi_w, i, d, level, m):
         row[j] = -1
         a_ub.append(row)
         b_ub.append(0)
-    for j in range(m):  # unit box
-        hi = [0] * m
-        hi[j] = 1
-        a_ub.append(hi)
-        b_ub.append(1)
-        lo = [0] * m
-        lo[j] = -1
-        a_ub.append(lo)
-        b_ub.append(1)
+    _add_unit_box(a_ub, b_ub, m, m)
     res = linprog.solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=[False] * m)
     if res.status != linprog.OPTIMAL or res.objective >= 0:
         return None

@@ -1,0 +1,249 @@
+"""The one cell walker against the per-dimension code it replaced.
+
+`kstab` used to walk intervals and polygons separately: `clip_interval` and
+`_active_cell_1d` for one, `clip_polygon` and `_active_cell_2d` for the
+other, and explicit edge/crease and crease/crease intersection formulas with
+a containment test for the arrangement vertices.  A copy of that code lives
+here and every toric quantity built on the cells must agree with it exactly.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stabkit.geometry import cell_measure, polygon_area, polygon_centroid
+from stabkit.kstab import (
+    Crease,
+    PLFunction,
+    Polytope,
+    _active_cell,
+    _arrangement_vertices,
+    affine_value,
+    integrate_pl,
+    minimum_pl,
+)
+
+
+def old_clip_interval(lo, hi, coeff, offset):
+    coeff, offset = Fraction(coeff), Fraction(offset)
+    if coeff == 0:
+        return (lo, hi) if offset <= 0 else None
+    bound = offset / coeff
+    if coeff > 0:
+        lo = max(lo, bound)
+    else:
+        hi = min(hi, bound)
+    if lo > hi:
+        return None
+    return (lo, hi)
+
+
+def old_clip_polygon(verts, normal, offset):
+    if not verts:
+        return []
+    ux, uy = Fraction(normal[0]), Fraction(normal[1])
+    off = Fraction(offset)
+
+    def side(p):
+        return ux * p[0] + uy * p[1] - off
+
+    out = []
+    n = len(verts)
+    for i in range(n):
+        cur, nxt = verts[i], verts[(i + 1) % n]
+        s_cur, s_nxt = side(cur), side(nxt)
+        if s_cur >= 0:
+            out.append(cur)
+        if (s_cur > 0 and s_nxt < 0) or (s_cur < 0 and s_nxt > 0):
+            t = s_cur / (s_cur - s_nxt)
+            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+    dedup = []
+    for p in out:
+        if not dedup or p != dedup[-1]:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def old_point_in_polygon(p, verts_ccw):
+    n = len(verts_ccw)
+    for i in range(n):
+        o, a = verts_ccw[i], verts_ccw[(i + 1) % n]
+        if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) < 0:
+            return False
+    return True
+
+
+def old_active_cell_1d(P, pieces, i):
+    lo, hi = P.interval
+    for j, other in enumerate(pieces):
+        if j == i:
+            continue
+        seg = old_clip_interval(lo, hi, pieces[i][0][0] - other[0][0], other[1] - pieces[i][1])
+        if seg is None:
+            return None
+        lo, hi = seg
+    return lo, hi
+
+
+def old_active_cell_2d(P, pieces, i):
+    verts = list(P.vertices)
+    gi, ci = pieces[i]
+    for j, (gj, cj) in enumerate(pieces):
+        if j == i:
+            continue
+        verts = old_clip_polygon(verts, (gi[0] - gj[0], gi[1] - gj[1]), cj - ci)
+        if not verts:
+            return []
+    return verts
+
+
+def old_cell_measure(P, pieces, i):
+    if P.dim == 1:
+        seg = old_active_cell_1d(P, pieces, i)
+        return Fraction(0) if seg is None else seg[1] - seg[0]
+    cell = old_active_cell_2d(P, pieces, i)
+    return polygon_area(cell) if len(cell) >= 3 else Fraction(0)
+
+
+def old_on(P, pieces):
+    f = PLFunction(P.dim, pieces)
+    kept = [p for i, p in enumerate(f.pieces) if old_cell_measure(P, f.pieces, i) > 0]
+    return PLFunction(P.dim, kept) if kept else f
+
+
+def old_integrate_pl(P, f):
+    total = Fraction(0)
+    for i, piece in enumerate(f.pieces):
+        if P.dim == 1:
+            seg = old_active_cell_1d(P, f.pieces, i)
+            if seg is None or seg[1] == seg[0]:
+                continue
+            total += (seg[1] - seg[0]) * affine_value(piece, ((seg[0] + seg[1]) / 2,))
+        else:
+            cell = old_active_cell_2d(P, f.pieces, i)
+            if len(cell) < 3 or polygon_area(cell) == 0:
+                continue
+            total += polygon_area(cell) * affine_value(piece, polygon_centroid(cell))
+    return total
+
+
+def old_minimum_pl(P, f):
+    best = None
+    for i in range(len(f.pieces)):
+        if P.dim == 1:
+            seg = old_active_cell_1d(P, f.pieces, i)
+            corners = [] if seg is None else [(seg[0],), (seg[1],)]
+        else:
+            corners = old_active_cell_2d(P, f.pieces, i)
+        for p in corners:
+            v = f.value(p)
+            if best is None or v < best:
+                best = v
+    return best
+
+
+def old_arrangement_vertices(P, creases):
+    pts = set(P.vertices)
+    if P.dim == 1:
+        lo, hi = P.interval
+        for c in creases:
+            x = c.offset / c.normal[0]
+            if lo < x < hi:
+                pts.add((x,))
+        return sorted(pts)
+    for c in creases:
+        for a, b in P.edges():
+            d0, d1 = c.gap(a), c.gap(b)
+            if d0 == d1:
+                continue
+            t = d0 / (d0 - d1)
+            if 0 <= t <= 1:
+                pts.add((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    for c1, c2 in itertools.combinations(creases, 2):
+        det = c1.normal[0] * c2.normal[1] - c1.normal[1] * c2.normal[0]
+        if det == 0:
+            continue
+        x = (c1.offset * c2.normal[1] - c2.offset * c1.normal[1]) / det
+        y = (c1.normal[0] * c2.offset - c2.normal[0] * c1.offset) / det
+        if old_point_in_polygon((x, y), P.vertices):
+            pts.add((x, y))
+    return sorted(pts)
+
+
+coord = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+small = st.integers(min_value=-2, max_value=2)
+nonzero = coord.map(lambda v: v or Fraction(1))
+
+
+def normals(dim):
+    return st.sampled_from([n for n in itertools.product(range(-2, 3), repeat=dim) if any(n)])
+
+
+@st.composite
+def polytopes(draw):
+    if draw(st.booleans()):
+        lo = draw(coord)
+        return Polytope(1, [(lo,), (lo + draw(st.fractions(1, 5, max_denominator=3)),)])
+    # a right triangle keeps the hull full-dimensional; up to three more
+    # points give hulls with three to six vertices
+    x, y = draw(coord), draw(coord)
+    a, b = draw(nonzero), draw(nonzero)
+    extra = draw(st.lists(st.tuples(coord, coord), max_size=3))
+    return Polytope(2, [(x, y), (x + a, y), (x, y + b), *extra])
+
+
+@st.composite
+def pieces(draw, dim):
+    # a pool of two or three gradients makes repeated gradients common
+    pool = draw(st.lists(st.tuples(*[small] * dim), min_size=1, max_size=3))
+    n = draw(st.integers(min_value=1, max_value=5))
+    return [(draw(st.sampled_from(pool)), draw(coord)) for _ in range(n)]
+
+
+@st.composite
+def creases(draw, P):
+    out = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(["free", "vertex", "copy"]))
+        if kind == "copy" and out:
+            c = draw(st.sampled_from(out))
+            k = draw(st.sampled_from([1, 2, -1]))
+            out.append(Crease([k * g for g in c.normal], k * c.offset))
+            continue
+        normal = draw(normals(P.dim))
+        if kind == "vertex":
+            v = draw(st.sampled_from(P.vertices))
+            offset = sum(g * x for g, x in zip(normal, v))
+        else:
+            offset = draw(coord)
+        out.append(Crease(normal, offset))
+    return out
+
+
+@st.composite
+def cases(draw):
+    P = draw(polytopes())
+    return P, draw(pieces(P.dim)), draw(creases(P))
+
+
+class TestAgainstPerDimensionCode:
+    @given(cases())
+    @settings(max_examples=300, deadline=None)
+    def test_cells_integrals_and_minima(self, case):
+        P, raw, _ = case
+        f = PLFunction(P.dim, raw)
+        for i in range(len(f.pieces)):
+            assert cell_measure(_active_cell(P, f.pieces, i)) == old_cell_measure(P, f.pieces, i)
+        assert integrate_pl(P, f) == old_integrate_pl(P, f)
+        assert minimum_pl(P, f) == old_minimum_pl(P, f)
+        assert PLFunction.on(P, raw).pieces == old_on(P, raw).pieces
+
+    @given(cases())
+    @settings(max_examples=300, deadline=None)
+    def test_arrangement_vertices(self, case):
+        P, _, cs = case
+        assert _arrangement_vertices(P, cs) == old_arrangement_vertices(P, cs)

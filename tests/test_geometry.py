@@ -1,4 +1,4 @@
-"""Exact hulls, clipping, and lattice measures in dimensions one and two."""
+"""Exact hulls, clipping of cells, and measures in dimensions one and two."""
 
 from fractions import Fraction
 
@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabkit.geometry import (
-    clip_interval,
-    clip_polygon,
+    cell_centroid,
+    cell_measure,
+    clip,
     convex_hull_2d,
     lattice_edge_length,
-    point_in_polygon,
     polygon_area,
     polygon_centroid,
     rational_gcd,
@@ -26,6 +26,20 @@ UNIT_SQUARE = [
     (Fraction(1), Fraction(1)),
     (Fraction(0), Fraction(1)),
 ]
+
+
+def contains(verts_ccw, p) -> bool:
+    """Closed containment in a convex counterclockwise polygon."""
+    n = len(verts_ccw)
+    for i in range(n):
+        o, a = verts_ccw[i], verts_ccw[(i + 1) % n]
+        if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) < 0:
+            return False
+    return True
+
+
+def interval(lo, hi):
+    return [(Fraction(lo),), (Fraction(hi),)]
 
 
 class TestHull:
@@ -50,7 +64,7 @@ class TestHull:
                 turn = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
                 assert turn > 0
             for p in pts:
-                assert point_in_polygon((Fraction(p[0]), Fraction(p[1])), hull)
+                assert contains(hull, (Fraction(p[0]), Fraction(p[1])))
 
     @given(st.lists(points, min_size=3, max_size=10))
     @settings(max_examples=40, deadline=None)
@@ -68,6 +82,15 @@ class TestMeasures:
     def test_signed_orientation(self):
         assert polygon_area(list(reversed(UNIT_SQUARE))) == -1
 
+    def test_cell_measure_and_centroid(self):
+        assert cell_measure(interval(-1, 3)) == 4
+        assert cell_centroid(interval(-1, 3)) == (Fraction(1),)
+        assert cell_measure([(Fraction(2),)]) == 0
+        assert cell_measure([]) == 0
+        assert cell_measure(UNIT_SQUARE) == 1
+        assert cell_measure(UNIT_SQUARE[:2]) == 0
+        assert cell_centroid(UNIT_SQUARE) == (Fraction(1, 2), Fraction(1, 2))
+
     def test_degenerate_centroid_rejected(self):
         with pytest.raises(ValueError):
             polygon_centroid([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))])
@@ -84,38 +107,40 @@ class TestMeasures:
 
 class TestClipping:
     def test_halfplane_cut(self):
-        out = clip_polygon(UNIT_SQUARE, (Fraction(1), Fraction(0)), Fraction(1, 2))
+        out = clip(UNIT_SQUARE, (Fraction(1), Fraction(0)), Fraction(1, 2))
         assert polygon_area(out) == Fraction(1, 2)
         assert all(p[0] >= Fraction(1, 2) for p in out)
 
     def test_cut_through_vertex(self):
-        out = clip_polygon(UNIT_SQUARE, (Fraction(1), Fraction(1)), Fraction(2))
+        out = clip(UNIT_SQUARE, (Fraction(1), Fraction(1)), Fraction(2))
         assert out == [(Fraction(1), Fraction(1))]
 
     def test_empty_cut(self):
-        assert clip_polygon(UNIT_SQUARE, (Fraction(1), Fraction(0)), Fraction(2)) == []
+        assert clip(UNIT_SQUARE, (Fraction(1), Fraction(0)), Fraction(2)) == []
 
     @given(st.tuples(coords, coords), coords)
     @settings(max_examples=60, deadline=None)
     def test_clip_area_never_grows(self, normal, offset):
-        out = clip_polygon(UNIT_SQUARE, normal, offset)
+        out = clip(UNIT_SQUARE, normal, offset)
         assert 0 <= polygon_area(out) <= 1
         for p in out:
             assert normal[0] * p[0] + normal[1] * p[1] >= offset
-            assert point_in_polygon(p, UNIT_SQUARE)
+            assert contains(UNIT_SQUARE, p)
 
     def test_interval_clipping(self):
-        assert clip_interval(Fraction(0), Fraction(1), Fraction(2), Fraction(1)) == (
-            Fraction(1, 2),
-            Fraction(1),
-        )
-        assert clip_interval(Fraction(0), Fraction(1), Fraction(-1), Fraction(0)) == (
-            Fraction(0),
-            Fraction(0),
-        )
-        assert clip_interval(Fraction(0), Fraction(1), Fraction(1), Fraction(2)) is None
-        assert clip_interval(Fraction(0), Fraction(1), Fraction(0), Fraction(1)) is None
-        assert clip_interval(Fraction(0), Fraction(1), Fraction(0), Fraction(-1)) == (
-            Fraction(0),
-            Fraction(1),
-        )
+        unit = interval(0, 1)
+        assert clip(unit, (Fraction(2),), Fraction(1)) == interval(Fraction(1, 2), 1)
+        assert clip(unit, (Fraction(-1),), Fraction(0)) == [(Fraction(0),)]
+        assert clip(unit, (Fraction(1),), Fraction(2)) == []
+        assert clip(unit, (Fraction(0),), Fraction(1)) == []
+        assert clip(unit, (Fraction(0),), Fraction(-1)) == unit
+
+    @given(coords, coords, coords, coords)
+    @settings(max_examples=60, deadline=None)
+    def test_interval_clip_matches_the_bound(self, lo, width, coeff, offset):
+        hi = lo + abs(width)
+        out = clip(interval(lo, hi), (coeff,), offset)
+        kept = [x for x in (lo, hi) if coeff * x >= offset]
+        if coeff != 0 and lo < offset / coeff < hi:
+            kept.append(offset / coeff)
+        assert [p[0] for p in out] == sorted(set(kept))
