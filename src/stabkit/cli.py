@@ -13,6 +13,7 @@ timing block is off by default for that reason.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -84,6 +85,7 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+@functools.cache
 def _job_validator() -> jsonschema.Draft202012Validator:
     return jsonschema.Draft202012Validator(_load_schema("job-v1.schema.json"))
 
@@ -200,8 +202,6 @@ def _ideal_json(ideal: Ideal) -> dict:
 
 def _run_algebra_groebner(payload: dict, budget: Budget, seed):
     names = list(payload["variables"])
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate variable names")
     gens = [parse_multi(s, names) for s in payload["generators"]]
     ideal = Ideal(names, gens)
     sat = payload.get("saturate")
@@ -463,13 +463,10 @@ def execute_job(
     document: dict,
     budget_override: int | None = None,
     seed_override: int | None = None,
-    validator: jsonschema.Draft202012Validator | None = None,
     timing: bool = False,
 ) -> dict:
     """Validate and run one job document, returning the report dict."""
-    if validator is None:
-        validator = _job_validator()
-    validator.validate(document)
+    _job_validator().validate(document)
     kind = document["kind"]
     limit = budget_override if budget_override is not None else document.get("budget")
     budget = Budget() if limit is None else Budget(limit)
@@ -575,9 +572,9 @@ def _load_corpus(directory: Path) -> list[dict]:
     return entries
 
 
-def _run_entry(entry: dict, budget_override, validator) -> tuple[bool, str]:
+def _run_entry(entry: dict, budget_override) -> tuple[bool, str]:
     try:
-        report = execute_job(entry["job"], budget_override=budget_override, validator=validator)
+        report = execute_job(entry["job"], budget_override=budget_override)
     except Exception as exc:  # noqa: BLE001 - a crashing entry is a failing entry
         return False, f"{type(exc).__name__}: {exc}"
     found = _mismatch(entry["expect"], report)
@@ -600,8 +597,7 @@ def _cmd_corpus(args) -> int:
     if not entries:
         print("empty corpus directory", file=sys.stderr)
         return EXIT_INVALID
-    validator = _job_validator()
-    outcomes = [_run_entry(e, args.budget, validator) for e in entries]
+    outcomes = [_run_entry(e, args.budget) for e in entries]
     by_criterion: dict[str, list[tuple[dict, bool, str]]] = {}
     for entry, (passed, detail) in zip(entries, outcomes):
         by_criterion.setdefault(entry["criterion"], []).append((entry, passed, detail))

@@ -3,10 +3,12 @@
 Everything operates on Fraction coordinates.  A cell is its vertex list:
 `[(lo,), (hi,)]` for an interval, counterclockwise for a polygon.  Cells are
 cut by halfspaces with Sutherland-Hodgman clipping, which treats an interval
-as a two-vertex cycle, and measured by length or shoelace area.  Alongside
-sit monotone-chain hulls and the lattice (normalized) measure on edges, where
-a segment between integer points has measure gcd of the coordinate
-differences.
+as a two-vertex cycle, and measured by length or shoelace area.  Their
+moments (the integrals of 1 and of each coordinate) integrate affine
+functions exactly; boundary integrals walk the one-dimensional cells along
+each edge.  Alongside sit monotone-chain hulls and the lattice (normalized)
+measure on edges, where a segment between integer points has measure gcd of
+the coordinate differences.
 """
 
 from __future__ import annotations
@@ -53,22 +55,6 @@ def polygon_area(verts: Sequence[Point]) -> Fraction:
     return s / 2
 
 
-def polygon_centroid(verts: Sequence[Point]) -> Point:
-    a = polygon_area(verts)
-    if a == 0:
-        raise ValueError("centroid of a degenerate polygon")
-    cx = Fraction(0)
-    cy = Fraction(0)
-    n = len(verts)
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        w = x1 * y2 - x2 * y1
-        cx += (x1 + x2) * w
-        cy += (y1 + y2) * w
-    return (cx / (6 * a), cy / (6 * a))
-
-
 def cell_measure(cell: Sequence[tuple]) -> Fraction:
     """Length of an interval cell, signed area of a polygon cell."""
     if cell and len(cell[0]) == 1:
@@ -76,11 +62,25 @@ def cell_measure(cell: Sequence[tuple]) -> Fraction:
     return polygon_area(cell)
 
 
-def cell_centroid(cell: Sequence[tuple]) -> tuple:
-    """Midpoint of an interval cell, centroid of a polygon cell."""
+def cell_moments(cell: Sequence[tuple]) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Integrals of 1 and of each coordinate over a nonempty cell.
+
+    A polygon's moments are shoelace sums; on a degenerate cell they
+    telescope to exactly zero.
+    """
     if len(cell[0]) == 1:
-        return ((cell[0][0] + cell[-1][0]) / 2,)
-    return polygon_centroid(cell)
+        lo, hi = cell[0][0], cell[-1][0]
+        return hi - lo, ((hi * hi - lo * lo) / 2,)
+    m0 = mx = my = Fraction(0)
+    n = len(cell)
+    for i in range(n):
+        x1, y1 = cell[i]
+        x2, y2 = cell[(i + 1) % n]
+        w = x1 * y2 - x2 * y1
+        m0 += w
+        mx += (x1 + x2) * w
+        my += (y1 + y2) * w
+    return m0 / 2, (mx / 6, my / 6)
 
 
 def clip(cell: Sequence[tuple], normal: Sequence[Fraction], offset: Fraction) -> list[tuple]:

@@ -5,9 +5,11 @@ intersection numbers.  The toric layer instantiates them for lattice
 polytopes in dimensions one and two: the polytope supplies (a0, a1) through
 volume and lattice boundary measure, and a convex piecewise-linear function
 supplies (b0, b1) through exact integrals over the cells where each affine
-piece is active.  The sign dictionary b0 = -integral of f, b1 = -half the
-boundary integral makes the invariant vanish on constants and reproduce the
-classical toric functional up to a positive factor.
+piece is active, from the cells' moments.  Boundary integrals walk the same
+one-dimensional cells along each edge of a polygon.  The sign dictionary
+b0 = -integral of f, b1 = -half the boundary integral makes the invariant
+vanish on constants and reproduce the classical toric functional up to a
+positive factor.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from . import linprog
 from .algebra.ideals import Budget
 from .geometry import (
     Point,
-    cell_centroid,
     cell_measure,
+    cell_moments,
     clip,
     convex_hull_2d,
     lattice_edge_length,
@@ -214,41 +216,38 @@ def _active_cell(P: Polytope, pieces, i) -> list[tuple]:
 def integrate_pl(P: Polytope, f: PLFunction) -> Fraction:
     """Exact integral of a convex PL function over the polytope.
 
-    Cells where two distinct pieces tie have measure zero, so summing the
-    closed active cells is exact.
+    Each piece integrates over its closed active cell through the cell's
+    moments.  Cells where two distinct pieces tie have measure zero, and
+    their moments are exactly zero, so the sum is exact.
     """
     total = Fraction(0)
-    for i, piece in enumerate(f.pieces):
+    for i, (grad, const) in enumerate(f.pieces):
         cell = _active_cell(P, f.pieces, i)
-        measure = cell_measure(cell)
-        if measure != 0:
-            total += measure * affine_value(piece, cell_centroid(cell))
+        if cell:
+            m0, m1 = cell_moments(cell)
+            total += const * m0 + sum(g * m for g, m in zip(grad, m1))
     return total
 
 
+UNIT = Polytope(1, [(0,), (1,)])
+
+
 def boundary_integral_pl(P: Polytope, f: PLFunction) -> Fraction:
-    """Integral of f over the boundary in the lattice-normalized measure."""
+    """Integral of f over the boundary in the lattice-normalized measure.
+
+    On a polygon f restricts to each edge a -> b as the one-dimensional
+    function t -> f(a + t(b - a)) on [0, 1].  Pieces that agree along the
+    whole edge merge into one, so the 1D cells tie only at points.  Each
+    piece (g, c) becomes ((g.(b - a),), g.a + c).
+    """
     if P.dim == 1:
         lo, hi = P.interval
         return f.value((lo,)) + f.value((hi,))
     total = Fraction(0)
     for a, b in P.edges():
-        length = lattice_edge_length(a, b)
-        cuts = {Fraction(0), Fraction(1)}
-        for (gi, ci), (gj, cj) in itertools.combinations(f.pieces, 2):
-            # f_i - f_j along a + t(b-a) is linear in t; a root is a breakpoint
-            d0 = affine_value((gi, ci), a) - affine_value((gj, cj), a)
-            d1 = affine_value((gi, ci), b) - affine_value((gj, cj), b)
-            if d0 == d1:
-                continue
-            t = d0 / (d0 - d1)
-            if 0 < t < 1:
-                cuts.add(t)
-        ts = sorted(cuts)
-        for t0, t1 in zip(ts, ts[1:]):
-            tm = (t0 + t1) / 2
-            mid = (a[0] + tm * (b[0] - a[0]), a[1] + tm * (b[1] - a[1]))
-            total += (t1 - t0) * length * f.value(mid)
+        ends = [(affine_value(p, a), affine_value(p, b)) for p in f.pieces]
+        restricted = PLFunction(1, [((fb - fa,), fa) for fa, fb in ends])
+        total += lattice_edge_length(a, b) * integrate_pl(UNIT, restricted)
     return total
 
 
@@ -405,24 +404,11 @@ def toric_uniform_search(
 
     # linear functionals of (alpha, beta): the invariant, the average, and
     # the value at each arrangement vertex
-    coord_df = []
-    coord_avg = []
-    for i in range(dim):
-        grad = tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
-        f_i = PLFunction(dim, [(grad, Fraction(0))])
-        coord_df.append(toric_df(P, f_i))
-        coord_avg.append(integrate_pl(P, f_i) / vol)
-    kink_df = []
-    kink_avg = []
-    kinks = []
-    for c in creases:
-        f_k = PLFunction(dim, c.kink_pieces())
-        kinks.append(f_k)
-        kink_df.append(toric_df(P, f_k))
-        kink_avg.append(integrate_pl(P, f_k) / vol)
-
-    objective = [*coord_df, *kink_df]
-    avg_row = [*coord_avg, *kink_avg]
+    basis = [PLFunction(dim, [(tuple(int(j == i) for j in range(dim)), 0)]) for i in range(dim)]
+    basis += [PLFunction(dim, c.kink_pieces()) for c in creases]
+    data = [toric_df_data(P, f) for f in basis]
+    objective = [d.df for d in data]
+    avg_row = [d.integral_f / vol for d in data]
     verts = _arrangement_vertices(P, creases)
 
     def value_row(q) -> list[Fraction]:
@@ -459,27 +445,15 @@ def toric_uniform_search(
     if best is None:
         raise ValueError("no normalized family member: every vertex LP was infeasible")
 
+    fails = best < epsilon
+    if fails:
+        best_x = linprog._primitive(best_x)
     alpha = tuple(best_x[:dim])
     beta = tuple(best_x[dim:])
-    if best < epsilon:
-        scaled = linprog._primitive(alpha + beta)
-        alpha = tuple(scaled[:dim])
-        beta = tuple(scaled[dim:])
-        cert = _family_function(P, creases, alpha, beta)
-        df = toric_df(P, cert)
-        norm = toric_minnorm(P, cert)
-        if not df < epsilon * norm:
-            raise AssertionError("uniform-search certificate failed re-verification")
-        return UniformVerdict(
-            "fails-at-epsilon", best, cert, alpha, beta, df, norm
-        )
-    witness = _family_function(P, creases, alpha, beta)
-    return UniformVerdict(
-        "holds-on-family",
-        best,
-        witness,
-        alpha,
-        beta,
-        toric_df(P, witness),
-        toric_minnorm(P, witness),
-    )
+    cert = _family_function(P, creases, alpha, beta)
+    df = toric_df(P, cert)
+    norm = toric_minnorm(P, cert)
+    if fails and not df < epsilon * norm:
+        raise AssertionError("uniform-search certificate failed re-verification")
+    status = "fails-at-epsilon" if fails else "holds-on-family"
+    return UniformVerdict(status, best, cert, alpha, beta, df, norm)

@@ -3,8 +3,11 @@
 `kstab` used to walk intervals and polygons separately: `clip_interval` and
 `_active_cell_1d` for one, `clip_polygon` and `_active_cell_2d` for the
 other, and explicit edge/crease and crease/crease intersection formulas with
-a containment test for the arrangement vertices.  A copy of that code lives
-here and every toric quantity built on the cells must agree with it exactly.
+a containment test for the arrangement vertices.  Interior integrals took
+each cell's area times the value at its centroid, and boundary integrals cut
+each edge at the pairwise breakpoints of the pieces and summed midpoint
+values.  A copy of that code lives here and every toric quantity built on
+the cells must agree with it exactly.
 """
 
 import itertools
@@ -13,7 +16,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit.geometry import cell_measure, polygon_area, polygon_centroid
+from stabkit.geometry import cell_measure, lattice_edge_length, polygon_area
 from stabkit.kstab import (
     Crease,
     PLFunction,
@@ -21,6 +24,7 @@ from stabkit.kstab import (
     _active_cell,
     _arrangement_vertices,
     affine_value,
+    boundary_integral_pl,
     integrate_pl,
     minimum_pl,
 )
@@ -115,6 +119,22 @@ def old_on(P, pieces):
     return PLFunction(P.dim, kept) if kept else f
 
 
+def polygon_centroid(verts):
+    a = polygon_area(verts)
+    if a == 0:
+        raise ValueError("centroid of a degenerate polygon")
+    cx = Fraction(0)
+    cy = Fraction(0)
+    n = len(verts)
+    for i in range(n):
+        x1, y1 = verts[i]
+        x2, y2 = verts[(i + 1) % n]
+        w = x1 * y2 - x2 * y1
+        cx += (x1 + x2) * w
+        cy += (y1 + y2) * w
+    return (cx / (6 * a), cy / (6 * a))
+
+
 def old_integrate_pl(P, f):
     total = Fraction(0)
     for i, piece in enumerate(f.pieces):
@@ -128,6 +148,30 @@ def old_integrate_pl(P, f):
             if len(cell) < 3 or polygon_area(cell) == 0:
                 continue
             total += polygon_area(cell) * affine_value(piece, polygon_centroid(cell))
+    return total
+
+
+def old_boundary_integral_pl(P, f):
+    if P.dim == 1:
+        lo, hi = P.interval
+        return f.value((lo,)) + f.value((hi,))
+    total = Fraction(0)
+    for a, b in P.edges():
+        length = lattice_edge_length(a, b)
+        cuts = {Fraction(0), Fraction(1)}
+        for (gi, ci), (gj, cj) in itertools.combinations(f.pieces, 2):
+            d0 = affine_value((gi, ci), a) - affine_value((gj, cj), a)
+            d1 = affine_value((gi, ci), b) - affine_value((gj, cj), b)
+            if d0 == d1:
+                continue
+            t = d0 / (d0 - d1)
+            if 0 < t < 1:
+                cuts.add(t)
+        ts = sorted(cuts)
+        for t0, t1 in zip(ts, ts[1:]):
+            tm = (t0 + t1) / 2
+            mid = (a[0] + tm * (b[0] - a[0]), a[1] + tm * (b[1] - a[1]))
+            total += (t1 - t0) * length * f.value(mid)
     return total
 
 
@@ -247,3 +291,18 @@ class TestAgainstPerDimensionCode:
     def test_arrangement_vertices(self, case):
         P, _, cs = case
         assert _arrangement_vertices(P, cs) == old_arrangement_vertices(P, cs)
+
+    @given(cases())
+    @settings(max_examples=300, deadline=None)
+    def test_boundary_integral(self, case):
+        P, raw, _ = case
+        f = PLFunction(P.dim, raw)
+        assert boundary_integral_pl(P, f) == old_boundary_integral_pl(P, f)
+
+    def test_boundary_integral_with_pieces_tied_along_an_edge(self):
+        # x and x + y agree along y = 0, where f = max(x, x + y) is x; the
+        # edges give 1/2 (counted once), 3/2, 3/2 and 1/2
+        square = Polytope(2, [(0, 0), (1, 0), (1, 1), (0, 1)])
+        f = PLFunction(2, [((1, 0), 0), ((1, 1), 0)])
+        assert boundary_integral_pl(square, f) == 4
+        assert boundary_integral_pl(square, f) == old_boundary_integral_pl(square, f)

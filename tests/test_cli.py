@@ -174,6 +174,35 @@ class TestRun:
         assert code == EXIT_INVALID
         assert "invalid job document" in err
 
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            (
+                "locus.family",
+                {
+                    "rank": 1,
+                    "base": ["a", "a"],
+                    "weights_v": [[0], [2]],
+                    "weights_w": [[1]],
+                    "v": ["a", "1"],
+                    "w": ["1"],
+                },
+            ),
+            ("algebra.groebner", {"variables": ["x", "x"], "generators": ["x^2"]}),
+            (
+                "algebra.groebner",
+                {"variables": ["x", "y"], "generators": ["x - y"], "eliminate": ["x", "x"]},
+            ),
+        ],
+        ids=["base", "variables", "eliminate"],
+    )
+    def test_duplicate_names_rejected(self, tmp_path, capsys, kind, payload):
+        job = {"schema_version": 1, "kind": kind, "payload": payload}
+        code, out, err = run_cli(tmp_path, capsys, job)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "invalid job document" in err
+
     def test_float_payload_rejected(self, tmp_path, capsys):
         job = {
             "schema_version": 1,

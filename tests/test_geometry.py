@@ -2,18 +2,16 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabkit.geometry import (
-    cell_centroid,
     cell_measure,
+    cell_moments,
     clip,
     convex_hull_2d,
     lattice_edge_length,
     polygon_area,
-    polygon_centroid,
     rational_gcd,
 )
 
@@ -77,23 +75,26 @@ class TestMeasures:
     def test_area_and_centroid(self):
         tri = [(Fraction(0), Fraction(0)), (Fraction(3), Fraction(0)), (Fraction(0), Fraction(3))]
         assert polygon_area(tri) == Fraction(9, 2)
-        assert polygon_centroid(tri) == (Fraction(1), Fraction(1))
+        m0, (mx, my) = cell_moments(tri)
+        assert m0 == Fraction(9, 2)
+        assert (mx, my) == (Fraction(9, 2), Fraction(9, 2))
+        assert (mx / m0, my / m0) == (Fraction(1), Fraction(1))
 
     def test_signed_orientation(self):
         assert polygon_area(list(reversed(UNIT_SQUARE))) == -1
 
     def test_cell_measure_and_centroid(self):
         assert cell_measure(interval(-1, 3)) == 4
-        assert cell_centroid(interval(-1, 3)) == (Fraction(1),)
+        assert cell_moments(interval(-1, 3)) == (4, (Fraction(4),))
         assert cell_measure([(Fraction(2),)]) == 0
         assert cell_measure([]) == 0
         assert cell_measure(UNIT_SQUARE) == 1
         assert cell_measure(UNIT_SQUARE[:2]) == 0
-        assert cell_centroid(UNIT_SQUARE) == (Fraction(1, 2), Fraction(1, 2))
-
-    def test_degenerate_centroid_rejected(self):
-        with pytest.raises(ValueError):
-            polygon_centroid([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))])
+        assert cell_moments(UNIT_SQUARE) == (1, (Fraction(1, 2), Fraction(1, 2)))
+        # degenerate cells have all moments exactly zero
+        assert cell_moments([(Fraction(2),)]) == (0, (0,))
+        assert cell_moments(UNIT_SQUARE[:2]) == (0, (0, 0))
+        assert cell_moments(UNIT_SQUARE[2:3]) == (0, (0, 0))
 
     def test_rational_gcd(self):
         assert rational_gcd(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
