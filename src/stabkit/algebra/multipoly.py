@@ -167,10 +167,6 @@ class MultiPoly:
         mono = tuple(power if i == idx else 0 for i in range(len(variables)))
         return cls(variables, {mono: Fraction(1)})
 
-    @classmethod
-    def monomial(cls, variables: Sequence[str], mono: Monomial, coeff=1) -> "MultiPoly":
-        return cls(variables, {tuple(mono): Fraction(coeff)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -242,29 +238,9 @@ class MultiPoly:
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
-    def degree_in(self, name: str) -> int:
-        idx = self.variables.index(name)
-        if not self.terms:
-            return 0
-        return max(m[idx] for m in self.terms)
-
     def uses_variable(self, name: str) -> bool:
         idx = self.variables.index(name)
         return any(m[idx] > 0 for m in self.terms)
-
-    def coefficients_in(self, name: str) -> dict[int, "MultiPoly"]:
-        """Split into coefficients of powers of one variable.
-
-        The returned polynomials live in the same ring with that variable's
-        exponent zeroed out.
-        """
-        idx = self.variables.index(name)
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            k = m[idx]
-            rest = tuple(0 if i == idx else e for i, e in enumerate(m))
-            buckets.setdefault(k, {})[rest] = c
-        return {k: MultiPoly._trusted(self.variables, b) for k, b in buckets.items()}
 
     def rename(self, variables: Sequence[str]) -> "MultiPoly":
         """Reinterpret in a different ring with the same arity."""

@@ -53,8 +53,12 @@ from .groups import (
     arcs_equivalent,
     check_action,
     check_arc,
+    deg_of_rep,
     diagonal_action,
+    image_order,
+    mu_from_order,
     mu_weight,
+    norm_from_order,
     sym_action,
 )
 from .kstab import (
@@ -330,13 +334,29 @@ def _run_arcs_weight(payload: dict, budget: Budget, seed):
     arc = _build_arc(payload["arc"])
     if not check_arc(group, arc):
         raise ValueError("arc does not satisfy the group relations")
-    mu = mu_weight(rep_v, rep_w, _rats(payload["v"]), _rats(payload["w"]), arc)
+    mu, norm = _mu_and_norm(rep_v, rep_w, _rats(payload["v"]), _rats(payload["w"]), arc)
     values = {"mu": "infinity" if mu is math.inf else format_rational(mu)}
-    try:
-        values["norm"] = format_rational(arc_norm(rep_v, _rats(payload["v"]), arc))
-    except ValueError:
-        pass
+    if norm is not None:
+        values["norm"] = format_rational(norm)
     return "ok", values, None
+
+
+def _mu_and_norm(rep_v, rep_w, v, w, arc):
+    """mu_weight and arc_norm of one arc, acting on v once; the norm is None
+    where arc_norm raises ValueError.  With w = 0, mu is +infinity without
+    acting on v, so only the norm needs arc.v."""
+    if not any(w):
+        mu = mu_weight(rep_v, rep_w, v, w, arc)
+        try:
+            return mu, arc_norm(rep_v, v, arc)
+        except ValueError:
+            return mu, None
+    ord_v = image_order(rep_v, arc, v)
+    mu = mu_from_order(ord_v, rep_w, w, arc)
+    try:
+        return mu, norm_from_order(ord_v, deg_of_rep(rep_v, arc.size), arc)
+    except ValueError:
+        return mu, None
 
 
 def _run_arcs_equiv(payload: dict, budget: Budget, seed):

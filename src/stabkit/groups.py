@@ -6,11 +6,18 @@ determinant wherever the relations hold.  Arcs are matrices of Laurent
 polynomials in t; the valuation bookkeeping for weights never needs honest
 power-series expansion because inverses only ever show up through adjugates
 and determinant denominators.
+
+Polynomials of the group ring are evaluated at an arc in one place,
+`_at_arc`: one power table per entry is shared by every polynomial of the
+call, and each ginv^k is cleared there as det^(top - k).  `act` contracts
+the vector into each row of an action matrix first, so an action meets an
+arc once per row; `check_arc` evaluates the relations the same way.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +25,7 @@ from typing import Sequence
 
 from .algebra.ideals import Ideal
 from .algebra.laurent import LaurentFrac, LaurentPoly, ord0
-from .algebra.multipoly import MultiPoly
+from .algebra.multipoly import MultiPoly, _add_into, _mul_into
 
 INV_VAR = "ginv"
 
@@ -93,16 +100,15 @@ class GroupPresentation:
         off-diagonal entries, and it avoids the k!-term determinant.
         """
         variables = entry_variables(k)
+        n = len(variables)  # position p < n - 1 holds g(p//k + 1)(p%k + 1)
+        zero = (0,) * n
         gens = [
-            MultiPoly.var(variables, f"g{i}{j}")
-            for i in range(1, k + 1)
-            for j in range(1, k + 1)
-            if i != j
+            MultiPoly(variables, {zero[:p] + (1,) + zero[p + 1 :]: 1})
+            for p in range(n - 1)
+            if p // k != p % k
         ]
-        unit = MultiPoly.var(variables, INV_VAR)
-        for i in range(1, k + 1):
-            unit = unit * MultiPoly.var(variables, f"g{i}{i}")
-        gens.append(unit - 1)
+        unit = tuple(1 if p == n - 1 or p // k == p % k else 0 for p in range(n))
+        gens.append(MultiPoly(variables, {unit: 1, zero: -1}))
         return cls(k, Ideal(variables, gens), "torus")
 
     @classmethod
@@ -337,13 +343,10 @@ def check_arc(group: GroupPresentation, arc: Arc) -> bool:
     """
     if arc.size != group.size:
         raise ValueError("arc size does not match the group")
-    det = arc.det
-    if det.is_zero():
+    if arc.det.is_zero():
         return False
-    values = _entry_values(arc.matrix, LaurentPoly.constant(1))
-    rels = group.relations.generators
-    dpow = _det_powers(det, rels)
-    return all(_cleared(rel, values, dpow).is_zero() for rel in rels)
+    cleared, _ = _at_arc([rel.terms for rel in group.relations.generators], arc)
+    return not any(cleared)
 
 
 def check_action(action: MatrixAction) -> bool:
@@ -363,22 +366,45 @@ def check_action(action: MatrixAction) -> bool:
     return True
 
 
-def _det_powers(det, polys: Sequence[MultiPoly]) -> list:
-    """det^k for k up to the highest ginv-degree among polys."""
-    top = max(p.degree_in(INV_VAR) for p in polys)
-    return [det.pow(k) for k in range(top + 1)]
+def _at_arc(polys: Sequence[dict], arc: Arc) -> tuple[list[dict], dict]:
+    """Polynomials of the group ring at an arc, with the inverse determinant
+    cleared: the one place where ginv meets an arc.
 
-
-def _cleared(poly: MultiPoly, values: dict, dpow: list):
-    """poly at values times det^top, where dpow[k] = det^k up to top: with
-    top at least the ginv-degree of poly, no inverse determinant is left.
-    poly must be nonzero."""
-    top = len(dpow) - 1
-    acc = None
-    for k, coeff in poly.coefficients_in(INV_VAR).items():
-        piece = coeff.subs(values) * dpow[top - k]
-        acc = piece if acc is None else acc + piece
-    return acc
+    `polys` are term dicts over g11..gmm, ginv, and the arc's determinant is
+    nonzero.  With top the largest ginv exponent among them, returns the
+    term dicts of p(arc) * det^top, one per polynomial, and that of det^top.
+    A term's ginv^k becomes det^(top - k).  The powers of each entry, and of
+    det, come from one table shared by every term of every polynomial.
+    """
+    entries = [e.terms for row in arc.matrix for e in row]
+    n = len(entries)
+    top = max((mono[n] for p in polys for mono in p), default=0)
+    tables = [[None, base] for base in entries]  # tables[v][e] = base^e, e >= 1
+    dets = [None, arc.det.terms]
+    for _ in range(top - 1):
+        dets.append(_mul_into({}, dets[-1], dets[1], operator.add))
+    tables.append(dets)
+    out = []
+    for p in polys:
+        acc: dict = {}
+        for mono, c in p.items():
+            prod = None
+            for table, e in zip(tables, mono[:n] + (top - mono[n],)):
+                if not e:
+                    continue
+                while len(table) <= e:
+                    table.append(_mul_into({}, table[-1], table[1], operator.add))
+                factor = table[e]
+                if not factor:  # a power of a zero entry
+                    break
+                if prod is None:
+                    prod = {x: c * k for x, k in factor.items()}
+                else:
+                    prod = _mul_into({}, prod, factor, operator.add)
+            else:
+                _add_into(acc, {0: c} if prod is None else prod)
+        out.append(acc)
+    return out, dict(dets[top]) if top else {0: Fraction(1)}
 
 
 def arcs_equivalent(a: Arc, b: Arc) -> bool:
@@ -446,24 +472,25 @@ def act(rep: Representation, arc: Arc, vector: Sequence[Fraction]) -> list[Laure
             raise ValueError("arc size does not match the group")
         if len(vector) != rep.dim:
             raise ValueError("vector length does not match the representation")
-        det = arc.det
-        if det.is_zero():
+        if arc.det.is_zero():
             raise ValueError("invalid arc: zero determinant")
-        values = _entry_values(arc.matrix, LaurentPoly.constant(1))
-        dpow = _det_powers(det, [p for row in rep.matrix for p in row])
-        out = []
-        for i in range(rep.dim):
-            acc = LaurentPoly.zero()
-            for j, coord in enumerate(vector):
-                c = Fraction(coord)
-                if c == 0:
+        coords = [Fraction(c) for c in vector]
+        rows = []
+        for row in rep.matrix:  # sum_j c_j * entry_ij in the group ring
+            acc: dict = {}
+            for c, entry in zip(coords, row):
+                if not c:
                     continue
-                entry = rep.matrix[i][j]
-                if entry.is_zero():
-                    continue
-                acc = acc + _cleared(entry, values, dpow).scale(c)
-            out.append(LaurentFrac(acc, dpow[-1]))
-        return out
+                for mono, k in entry.terms.items():
+                    s = acc.get(mono, 0) + c * k
+                    if s:
+                        acc[mono] = s
+                    else:
+                        del acc[mono]
+            rows.append(acc)
+        nums, den = _at_arc(rows, arc)
+        den = LaurentPoly._trusted(den)
+        return [LaurentFrac(LaurentPoly._trusted(num), den) for num in nums]
     raise TypeError(f"unknown representation type {type(rep).__name__}")
 
 
@@ -476,31 +503,38 @@ def rep_weights(rep: Representation, m: int) -> list[tuple[int, ...]]:
     if isinstance(rep, MatrixAction):
         if rep.group.size != m:
             raise ValueError("group size does not match m")
-        dvars = [f"d{i}" for i in range(1, m + 1)]
-        diag = _diag_matrix([MultiPoly.var(dvars, d) for d in dvars], MultiPoly.zero(dvars))
-        values = _entry_values(diag, MultiPoly.constant(dvars, 1))
-        prod = MultiPoly.monomial(dvars, (1,) * m)
-        dpow = _det_powers(prod, [p for row in rep.matrix for p in row])
-        top = len(dpow) - 1
+        # On the diagonal torus g_ij = 0 (i != j), g_ii = d_i and ginv is
+        # 1/(d_1...d_m): a term survives only without off-diagonal
+        # variables, and then has weight (e_ii - e_ginv)_i.
+        n = m * m
+        diagonal = [p for p in range(n) if p // m == p % m]
+        off = [p for p in range(n) if p // m != p % m]
         weights = []
-        for i in range(rep.dim):
-            for j in range(rep.dim):
-                entry = rep.matrix[i][j]
+        for i, row in enumerate(rep.matrix):
+            for j, entry in enumerate(row):
                 if entry.is_zero():
                     continue
-                cleared = _cleared(entry, values, dpow)
+                found: dict = {}
+                for mono, c in entry.terms.items():
+                    if any(mono[p] for p in off):
+                        continue
+                    w = tuple(mono[p] - mono[n] for p in diagonal)
+                    s = found.get(w, 0) + c
+                    if s:
+                        found[w] = s
+                    else:
+                        del found[w]
                 if i != j:
-                    if not cleared.is_zero():
+                    if found:
                         raise ValueError(
                             "action is not diagonal in the given basis; weights unavailable"
                         )
                     continue
-                if len(cleared.terms) != 1:
+                if len(found) != 1:
                     raise ValueError(
                         "diagonal action entry is not a monomial; weights unavailable"
                     )
-                (mono,) = cleared.terms
-                weights.append(tuple(e - top for e in mono))
+                weights.extend(found)
         return weights
     raise TypeError(f"unknown representation type {type(rep).__name__}")
 
@@ -523,6 +557,28 @@ def deg_of_rep(rep: Representation, m: int) -> int:
     return deg
 
 
+def image_order(rep: Representation, arc: Arc, v: Sequence[Fraction]):
+    """ord0(arc.v) for a nonzero v: the term that mu_weight and arc_norm share,
+    for callers that need both of one arc."""
+    if all(Fraction(c) == 0 for c in v):
+        raise ValueError("v must be nonzero")
+    return ord0(act(rep, arc, v))
+
+
+def mu_from_order(ord_v, rep_w: Representation, w: Sequence[Fraction], arc: Arc):
+    """Arc weight ord0(arc.w) - ord_v, with ord_v = image_order(rep_v, arc, v);
+    +infinity when w = 0."""
+    if all(Fraction(c) == 0 for c in w):
+        return math.inf
+    return ord0(act(rep_w, arc, w)) - ord_v
+
+
+def norm_from_order(ord_v, d: int, arc: Arc):
+    """Arc norm ord_v - d * ord0(arc), with ord_v = image_order(rep_v, arc, v)
+    and d = deg_of_rep(rep_v, arc.size)."""
+    return ord_v - d * ord0(arc.entries())
+
+
 def mu_weight(
     rep_v: Representation,
     rep_w: Representation,
@@ -535,9 +591,7 @@ def mu_weight(
         raise ValueError("v must be nonzero")
     if all(Fraction(c) == 0 for c in w):
         return math.inf
-    ord_v = ord0(act(rep_v, arc, v))
-    ord_w = ord0(act(rep_w, arc, w))
-    return ord_w - ord_v
+    return mu_from_order(image_order(rep_v, arc, v), rep_w, w, arc)
 
 
 def arc_norm(rep_v: Representation, v: Sequence[Fraction], arc: Arc):
@@ -545,8 +599,7 @@ def arc_norm(rep_v: Representation, v: Sequence[Fraction], arc: Arc):
     if all(Fraction(c) == 0 for c in v):
         raise ValueError("v must be nonzero")
     d = deg_of_rep(rep_v, arc.size)
-    ord_v = ord0(act(rep_v, arc, v))
-    return ord_v - d * ord0(arc.entries())
+    return norm_from_order(image_order(rep_v, arc, v), d, arc)
 
 
 def diagonal_action(group: GroupPresentation, weights: Sequence[Sequence[int]]) -> MatrixAction:
@@ -580,27 +633,16 @@ def sym_action(group: GroupPresentation, d: int) -> MatrixAction:
         raise ValueError("symmetric-power helper is for 2x2 groups")
     if d < 1:
         raise ValueError("degree must be positive")
-    gvars = list(group.variables)
-    ring = gvars + ["x", "y"]
-    gx = MultiPoly.var(ring, "g11") * MultiPoly.var(ring, "x") + MultiPoly.var(
-        ring, "g21"
-    ) * MultiPoly.var(ring, "y")
-    gy = MultiPoly.var(ring, "g12") * MultiPoly.var(ring, "x") + MultiPoly.var(
-        ring, "g22"
-    ) * MultiPoly.var(ring, "y")
-    xi, yi = ring.index("x"), ring.index("y")
+    ring = group.variables  # g11, g12, g21, g22, ginv
     dim = d + 1
-    cols = []
-    for i in range(d, -1, -1):  # basis vector x^i y^{d-i}
-        image = gx.pow(i) * gy.pow(d - i)
-        col = [MultiPoly.zero(gvars) for _ in range(dim)]
-        for mono, coeff in image.terms.items():
-            r = mono[xi]  # x-degree of the target monomial
-            gpart = list(mono)
-            gpart[xi] = 0
-            gpart[yi] = 0
-            gmono = tuple(gpart[: len(gvars)])
-            col[d - r] = col[d - r] + MultiPoly.monomial(gvars, gmono, coeff)
-        cols.append(col)
-    matrix = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    return MatrixAction(group, matrix)
+    matrix = [[{} for _ in range(dim)] for _ in range(dim)]
+    for col in range(dim):
+        # basis vector x^i y^(d-i) goes to (g11 x + g21 y)^i (g12 x + g22 y)^(d-i);
+        # its x^(a+c) y^(d-a-c) part lands in row d - a - c
+        i = d - col
+        for a in range(i + 1):
+            for c in range(d - i + 1):
+                coeff = Fraction(math.comb(i, a) * math.comb(d - i, c))
+                matrix[d - a - c][col][(a, c, i - a, d - i - c, 0)] = coeff
+    rows = [[MultiPoly._trusted(ring, terms) for terms in row] for row in matrix]
+    return MatrixAction(group, rows)

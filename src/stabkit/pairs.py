@@ -26,10 +26,12 @@ from .groups import (
     MatrixAction,
     Representation,
     TorusWeights,
-    arc_norm,
     check_arc,
     deg_of_rep,
+    image_order,
+    mu_from_order,
     mu_weight,
+    norm_from_order,
 )
 
 
@@ -268,7 +270,7 @@ def dr_stable_at(pair: Pair, level: int) -> Verdict:
     refines the normal fans of the two supports together with the coordinate
     fan and solves one exact LP per cone of the refinement.  A failing cone
     yields a rational a, scaled to a primitive integer certificate and
-    re-verified through mu_weight and arc_norm.
+    re-verified through its arc weight and arc norm.
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
@@ -329,8 +331,9 @@ def _dr_cone_violation(supp_v, supp_w, chi_v, chi_w, i, d, level, m):
 
 def _verify_dr_violation(pair: Pair, a: list[int], d: int, level: int) -> dict:
     arc = Arc.one_ps(a)
-    mu = mu_weight(pair.rep_v, pair.rep_w, pair.v, pair.w, arc)
-    norm = arc_norm(pair.rep_v, pair.v, arc)
+    ord_v = image_order(pair.rep_v, arc, pair.v)
+    mu = mu_from_order(ord_v, pair.rep_w, pair.w, arc)
+    norm = norm_from_order(ord_v, d, arc)
     if not mu < Fraction(norm, level + 1):
         raise AssertionError("cone certificate failed re-verification")
     return {

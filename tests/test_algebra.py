@@ -131,13 +131,6 @@ class TestMultiPoly:
         out = p.subs({"x": t, "y": LaurentPoly.constant(3)})
         assert out == parse_laurent("3*t^2 - 6")
 
-    def test_coefficients_in(self):
-        p = parse_multi("x^2*y + x^2 + y^3", ("x", "y"))
-        buckets = p.coefficients_in("x")
-        assert set(buckets) == {0, 2}
-        assert buckets[2] == parse_multi("y + 1", ("x", "y"))
-        assert buckets[0] == parse_multi("y^3", ("x", "y"))
-
     def test_extend_restrict_roundtrip(self):
         p = parse_multi("x*z - 1", self.ring)
         big = p.extend(("w",) + self.ring)

@@ -84,11 +84,11 @@ def ref_reduce(f, basis, order):
         m, c = work.lead(order)
         for (gm, gc), g in leads:
             if mono_divides(gm, m):
-                work = work - g * MultiPoly.monomial(work.variables, mono_div(m, gm), c / gc)
+                work = work - g * MultiPoly(work.variables, {mono_div(m, gm): c / gc})
                 break
         else:
             rem_terms[m] = c
-            work = work - MultiPoly.monomial(work.variables, m, c)
+            work = work - MultiPoly(work.variables, {m: c})
     return MultiPoly(f.variables, rem_terms)
 
 
@@ -223,8 +223,8 @@ class TestReduction:
     def test_spoly_matches_reference(self, f, g, order):
         (fm, fc), (gm, gc) = f.lead(order), g.lead(order)
         lcm = tuple(max(a, b) for a, b in zip(fm, gm))
-        left = f * MultiPoly.monomial(RING, mono_div(lcm, fm), 1 / fc)
-        right = g * MultiPoly.monomial(RING, mono_div(lcm, gm), 1 / gc)
+        left = f * MultiPoly(RING, {mono_div(lcm, fm): 1 / fc})
+        right = g * MultiPoly(RING, {mono_div(lcm, gm): 1 / gc})
         s = _spoly(_lead(f, order), _lead(g, order))
         assert_clean_multi(MultiPoly._trusted(RING, s), (left - right).terms)
 
