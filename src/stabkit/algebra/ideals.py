@@ -18,7 +18,6 @@ divisibility tests before exponents are compared.
 from __future__ import annotations
 
 from bisect import insort
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, itemgetter
 from typing import Iterable, Sequence
@@ -29,6 +28,7 @@ from .multipoly import (
     MultiPoly,
     _mul_into,
     _mul_mono,
+    _quo,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -166,19 +166,19 @@ def _normal_form(work: dict, reducers: Sequence[tuple], order: MonomialOrder) ->
         for _, gm, gc, tail, gmask in reducers:
             if not gmask & outside and mono_divides(gm, m):
                 q = mono_div(m, gm)
-                f = -c / gc
+                f = _quo(-c, gc)
                 for t, tc in tail.items():
                     n = tuple(map(add, q, t))
                     s = work.get(n)
                     if s is None:
-                        work[n] = f * tc
+                        s = f * tc
                         heappush(heap, (hkey(n), n))
                     else:
                         s += f * tc
-                        if s:
-                            work[n] = s
-                        else:
+                        if not s:
                             del work[n]
+                            continue
+                    work[n] = s if type(s) is int or s.denominator != 1 else s.numerator
                 break
         else:
             rem[m] = c
@@ -191,8 +191,8 @@ def _spoly(a: tuple, b: tuple) -> dict:
     _, am, ac, atail, _ = a
     _, bm, bc, btail, _ = b
     l = mono_lcm(am, bm)
-    out = _mul_into({}, {mono_div(l, am): 1 / ac}, atail, _mul_mono)
-    return _mul_into(out, {mono_div(l, bm): -1 / bc}, btail, _mul_mono)
+    out = _mul_into({}, {mono_div(l, am): _quo(1, ac)}, atail, _mul_mono)
+    return _mul_into(out, {mono_div(l, bm): _quo(-1, bc)}, btail, _mul_mono)
 
 
 def _update_pairs(leads: list, P: list, order: MonomialOrder) -> list:
@@ -293,10 +293,9 @@ def _interreduce(G: Sequence[tuple], order: MonomialOrder) -> list[dict]:
     for i, (_, lm, lc, tail, _) in enumerate(G):
         others = [h for j, h in enumerate(G) if j != i]
         rem = _normal_form(dict(tail), others, order)
-        inv = Fraction(1) / lc
-        terms = {lm: Fraction(1)}
+        terms = {lm: 1}
         for m, c in rem.items():
-            terms[m] = c * inv
+            terms[m] = _quo(c, lc)
         out.append(terms)
     return out
 

@@ -1,8 +1,10 @@
 """Laurent polynomials in one variable t with exact rational coefficients.
 
 Terms are kept in a dict mapping integer exponents (possibly negative) to
-nonzero Fractions.  The t-adic valuation of the zero polynomial is +infinity,
-matching the convention that ord0 runs over nonzero entries only.
+nonzero coefficients, each an `int` when integral and a `Fraction` otherwise,
+as in the multivariate module.  The t-adic valuation of the zero polynomial
+is +infinity, matching the convention that ord0 runs over nonzero entries
+only.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .multipoly import _add_into, _mul_into, _pow_terms
+from .multipoly import _add_into, _exact, _mul_into, _pow_terms, _scale_terms
 
 
 class LaurentPoly:
@@ -20,19 +22,20 @@ class LaurentPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, Fraction] | None = None):
-        clean: dict[int, Fraction] = {}
+    def __init__(self, terms: Mapping[int, int | Fraction] | None = None):
+        clean: dict[int, int | Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
+                c = _exact(coeff)
+                if c:
                     clean[int(exp)] = c
         self.terms = clean
 
     @classmethod
     def _trusted(cls, terms: dict) -> "LaurentPoly":
         """Wrap an arithmetic result without re-validating it: `terms` maps
-        int exponents to nonzero Fractions."""
+        int exponents to nonzero coefficients, each an int when integral and
+        a Fraction otherwise."""
         p = object.__new__(cls)
         p.terms = terms
         return p
@@ -43,11 +46,11 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, c) -> "LaurentPoly":
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def t_power(cls, n: int, coeff=1) -> "LaurentPoly":
-        return cls({n: Fraction(coeff)})
+        return cls({n: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -101,10 +104,10 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
-        c = Fraction(c)
-        if c == 0:
+        c = _exact(c)
+        if not c:
             return LaurentPoly()
-        return LaurentPoly._trusted({e: k * c for e, k in self.terms.items()})
+        return LaurentPoly._trusted(_scale_terms(self.terms, c))
 
     def pow(self, n: int) -> "LaurentPoly":
         if n < 0:

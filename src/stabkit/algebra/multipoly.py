@@ -1,8 +1,11 @@
 """Multivariate polynomials over the rationals with pluggable monomial orders.
 
-A polynomial is a dict from exponent tuples to nonzero Fractions, tagged with
-its ambient variable tuple.  Exponents are nonnegative here; Laurent behaviour
-lives in the one-variable module.
+A polynomial is a dict from exponent tuples to nonzero rational
+coefficients, tagged with its ambient variable tuple.  A coefficient is an
+`int` when it is integral and a `Fraction` only when it is not, so the common
+integral case runs on plain int arithmetic; mixed int/Fraction arithmetic is
+exact.  Exponents are nonnegative here; Laurent behaviour lives in the
+one-variable module.
 """
 
 from __future__ import annotations
@@ -69,16 +72,41 @@ def _mul_mono(a: Monomial, b: Monomial) -> Monomial:
 
 
 # The sparse-term kernel shared with the Laurent module.  A term dict maps
-# exponents to nonzero Fractions; `add` multiplies two monomials, which is
-# exponent addition on ints or on tuples.
+# exponents to nonzero coefficients, each an int when integral and a
+# non-integral Fraction otherwise; `add` multiplies two monomials, which is
+# exponent addition on ints or on tuples.  A sum or product of two
+# coefficients is exact but may be an integral Fraction, so the loops hand
+# such a result back as its numerator.
+
+
+def _exact(c):
+    """The kernel coefficient of the rational c: an int when c is integral,
+    else a Fraction.  A float is refused: its binary value is rarely the
+    rational that was meant."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"float coefficient {c!r}; pass an int or a Fraction")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quo(a, b):
+    """a / b for kernel coefficients, exactly, as a kernel coefficient."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def _add_into(out: dict, terms: Mapping) -> dict:
     """out += terms in place, dropping cancelled terms; returns out."""
     for m, c in terms.items():
-        s = out.get(m, 0) + c
+        s = out[m] + c if m in out else c
         if s:
-            out[m] = s
+            out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
         else:
             del out[m]
     return out
@@ -89,17 +117,26 @@ def _mul_into(out: dict, a: Mapping, b: Mapping, add: Callable) -> dict:
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = add(m1, m2)
-            s = out.get(m, 0) + c1 * c2
+            s = out[m] + c1 * c2 if m in out else c1 * c2
             if s:
-                out[m] = s
+                out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 del out[m]
     return out
 
 
+def _scale_terms(terms: Mapping, c) -> dict:
+    """terms * c for a nonzero kernel coefficient c."""
+    out = {}
+    for m, k in terms.items():
+        s = k * c
+        out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+    return out
+
+
 def _pow_terms(terms: Mapping, n: int, one, add: Callable) -> dict:
     """terms ** n by square-and-multiply; `one` is the exponent of 1."""
-    out = {one: Fraction(1)}
+    out = {one: 1}
     while n:
         if n & 1:
             out = _mul_into({}, out, terms, add)
@@ -124,14 +161,16 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
 
 
 class MultiPoly:
-    """Polynomial in the variables `variables` with Fraction coefficients."""
+    """Polynomial in the variables `variables` with rational coefficients."""
 
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(
+        self, variables: Sequence[str], terms: Mapping[Monomial, int | Fraction] | None = None
+    ):
         self.variables = tuple(variables)
         n = len(self.variables)
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, int | Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
                 mono = tuple(int(e) for e in mono)
@@ -139,15 +178,16 @@ class MultiPoly:
                     raise ValueError("exponent tuple does not match variable count")
                 if any(e < 0 for e in mono):
                     raise ValueError("negative exponent in a polynomial ring element")
-                c = Fraction(coeff)
-                if c != 0:
+                c = _exact(coeff)
+                if c:
                     clean[mono] = c
         self.terms = clean
 
     @classmethod
     def _trusted(cls, variables: tuple[str, ...], terms: dict) -> "MultiPoly":
         """Wrap an arithmetic result without re-validating it: `terms` maps
-        exponent tuples of the ring's length to nonzero Fractions."""
+        exponent tuples of the ring's length to nonzero coefficients, each an
+        int when integral and a Fraction otherwise."""
         p = object.__new__(cls)
         p.variables = variables
         p.terms = terms
@@ -159,13 +199,13 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, variables: Sequence[str], c) -> "MultiPoly":
-        return cls(variables, {(0,) * len(variables): Fraction(c)})
+        return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str, power: int = 1) -> "MultiPoly":
         idx = list(variables).index(name)
         mono = tuple(power if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {mono: Fraction(1)})
+        return cls(variables, {mono: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -220,10 +260,10 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        if c == 0:
+        c = _exact(c)
+        if not c:
             return MultiPoly(self.variables)
-        return MultiPoly._trusted(self.variables, {m: k * c for m, k in self.terms.items()})
+        return MultiPoly._trusted(self.variables, _scale_terms(self.terms, c))
 
     def pow(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -231,7 +271,7 @@ class MultiPoly:
         one = (0,) * len(self.variables)
         return MultiPoly._trusted(self.variables, _pow_terms(self.terms, n, one, _mul_mono))
 
-    def lead(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
+    def lead(self, order: MonomialOrder) -> tuple[Monomial, int | Fraction]:
         """Leading (monomial, coefficient) under `order`; errors on zero."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -246,7 +286,7 @@ class MultiPoly:
         """Reinterpret in a different ring with the same arity."""
         if len(variables) != len(self.variables):
             raise ValueError("arity mismatch in rename")
-        return MultiPoly(variables, self.terms)
+        return MultiPoly._trusted(tuple(variables), dict(self.terms))
 
     def extend(self, variables: Sequence[str]) -> "MultiPoly":
         """Embed into a superset ring (variables may be reordered)."""
@@ -256,13 +296,13 @@ class MultiPoly:
             if v not in variables:
                 raise ValueError(f"variable {v!r} missing from target ring")
             pos.append(variables.index(v))
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
             mono = [0] * len(variables)
             for p, e in zip(pos, m):
                 mono[p] = e
             out[tuple(mono)] = c
-        return MultiPoly(variables, out)
+        return MultiPoly._trusted(variables, out)
 
     def restrict(self, variables: Sequence[str]) -> "MultiPoly":
         """Project onto a subring; errors if a dropped variable occurs."""
@@ -271,12 +311,12 @@ class MultiPoly:
         for v in variables:
             keep.append(self.variables.index(v))
         drop = [i for i in range(len(self.variables)) if i not in keep]
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
             if any(m[i] > 0 for i in drop):
                 raise ValueError("polynomial uses a dropped variable")
             out[tuple(m[i] for i in keep)] = c
-        return MultiPoly(variables, out)
+        return MultiPoly._trusted(variables, out)
 
     def subs(self, values: Mapping[str, object]):
         """Evaluate at values living in any commutative ring.
@@ -313,7 +353,9 @@ class MultiPoly:
             return Fraction(0)
         return total
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(
+        self, order: MonomialOrder = GREVLEX
+    ) -> list[tuple[Monomial, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
 
     def __repr__(self):

@@ -86,11 +86,11 @@ def _parse_terms(text: str, variables: Sequence[str], laurent: bool):
     if tok.peek() is None:
         raise ParseError("empty polynomial", 0)
     terms = []
-    sign = Fraction(1)
+    sign = 1
     first = tok.peek()
     if first in "+-":
         tok.pos += 1
-        sign = Fraction(-1) if first == "-" else Fraction(1)
+        sign = -1 if first == "-" else 1
     while True:
         coeff, exps = _parse_term(tok, names, laurent)
         terms.append((sign * coeff, exps))
@@ -100,7 +100,7 @@ def _parse_terms(text: str, variables: Sequence[str], laurent: bool):
         if nxt not in "+-":
             raise ParseError(f"unexpected character {nxt!r}", tok.pos)
         tok.pos += 1
-        sign = Fraction(-1) if nxt == "-" else Fraction(1)
+        sign = -1 if nxt == "-" else 1
         if tok.peek() is None:
             raise ParseError("dangling sign", tok.pos)
     return terms
@@ -110,7 +110,7 @@ def _parse_term(tok: _Tokenizer, names: set[str], laurent: bool):
     ch = tok.peek()
     if ch is None:
         raise ParseError("expected a term", tok.pos)
-    coeff = Fraction(1)
+    coeff = 1
     exps: dict[str, int] = {}
     saw_factor = False
     if ch.isdigit():
@@ -122,7 +122,7 @@ def _parse_term(tok: _Tokenizer, names: set[str], laurent: bool):
             den = tok.take_number()
             if den == 0:
                 raise ParseError("zero denominator", dpos)
-        coeff = Fraction(num, den)
+        coeff = Fraction(num, den) if den != 1 else num
         saw_factor = True
         if tok.peek() == "*":
             tok.pos += 1
@@ -170,23 +170,23 @@ def parse_multi(text: str, variables: Sequence[str]) -> MultiPoly:
     terms = _parse_terms(text, variables, laurent=False)
     variables = tuple(variables)
     index = {v: i for i, v in enumerate(variables)}
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], int | Fraction] = {}
     for coeff, exps in terms:
         mono = [0] * len(variables)
         for name, e in exps.items():
             mono[index[name]] += e
         key = tuple(mono)
-        acc[key] = acc.get(key, Fraction(0)) + coeff
+        acc[key] = acc[key] + coeff if key in acc else coeff
     return MultiPoly(variables, acc)
 
 
 def parse_laurent(text: str, variable: str = "t") -> LaurentPoly:
     """Parse a one-variable Laurent polynomial; exponents may be negative."""
     terms = _parse_terms(text, [variable], laurent=True)
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int | Fraction] = {}
     for coeff, exps in terms:
         e = exps.get(variable, 0)
-        acc[e] = acc.get(e, Fraction(0)) + coeff
+        acc[e] = acc[e] + coeff if e in acc else coeff
     return LaurentPoly(acc)
 
 

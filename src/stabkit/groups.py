@@ -16,6 +16,7 @@ arc once per row; `check_arc` evaluates the relations the same way.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from .algebra.ideals import Ideal
 from .algebra.laurent import LaurentFrac, LaurentPoly, ord0
-from .algebra.multipoly import MultiPoly, _add_into, _mul_into
+from .algebra.multipoly import MultiPoly, _add_into, _exact, _mul_into, _scale_terms
 
 INV_VAR = "ginv"
 
@@ -40,11 +41,23 @@ def entry_variables(m: int) -> list[str]:
 
 
 def det_polynomial(m: int, variables: Sequence[str]) -> MultiPoly:
-    """Symbolic determinant of the generic m*m matrix in the given ring."""
-    generic = [
-        [MultiPoly.var(variables, f"g{i}{j}") for j in range(1, m + 1)] for i in range(1, m + 1)
+    """Symbolic determinant of the generic m*m matrix in the given ring, by
+    the Leibniz formula: one term sign(s) * g_{1,s(1)} * ... * g_{m,s(m)} per
+    permutation s, in lexicographic order of s (the order in which cofactor
+    expansion along the first row meets them)."""
+    variables = tuple(variables)
+    where = [
+        [variables.index(f"g{i}{j}") for j in range(1, m + 1)] for i in range(1, m + 1)
     ]
-    return _det(generic, MultiPoly.zero(variables))
+    zero = [0] * len(variables)
+    terms = {}
+    for perm in itertools.permutations(range(m)):
+        mono = zero[:]
+        for row, col in zip(where, perm):
+            mono[row[col]] = 1
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        terms[tuple(mono)] = -1 if inversions & 1 else 1
+    return MultiPoly._trusted(variables, terms)
 
 
 def _det(matrix, zero):
@@ -398,13 +411,13 @@ def _at_arc(polys: Sequence[dict], arc: Arc) -> tuple[list[dict], dict]:
                 if not factor:  # a power of a zero entry
                     break
                 if prod is None:
-                    prod = {x: c * k for x, k in factor.items()}
+                    prod = _scale_terms(factor, c)
                 else:
                     prod = _mul_into({}, prod, factor, operator.add)
             else:
                 _add_into(acc, {0: c} if prod is None else prod)
         out.append(acc)
-    return out, dict(dets[top]) if top else {0: Fraction(1)}
+    return out, dict(dets[top]) if top else {0: 1}
 
 
 def arcs_equivalent(a: Arc, b: Arc) -> bool:
@@ -474,19 +487,13 @@ def act(rep: Representation, arc: Arc, vector: Sequence[Fraction]) -> list[Laure
             raise ValueError("vector length does not match the representation")
         if arc.det.is_zero():
             raise ValueError("invalid arc: zero determinant")
-        coords = [Fraction(c) for c in vector]
+        coords = [_exact(c) for c in vector]
         rows = []
         for row in rep.matrix:  # sum_j c_j * entry_ij in the group ring
             acc: dict = {}
             for c, entry in zip(coords, row):
-                if not c:
-                    continue
-                for mono, k in entry.terms.items():
-                    s = acc.get(mono, 0) + c * k
-                    if s:
-                        acc[mono] = s
-                    else:
-                        del acc[mono]
+                if c:
+                    _add_into(acc, _scale_terms(entry.terms, c))
             rows.append(acc)
         nums, den = _at_arc(rows, arc)
         den = LaurentPoly._trusted(den)
@@ -642,7 +649,7 @@ def sym_action(group: GroupPresentation, d: int) -> MatrixAction:
         i = d - col
         for a in range(i + 1):
             for c in range(d - i + 1):
-                coeff = Fraction(math.comb(i, a) * math.comb(d - i, c))
+                coeff = math.comb(i, a) * math.comb(d - i, c)
                 matrix[d - a - c][col][(a, c, i - a, d - i - c, 0)] = coeff
     rows = [[MultiPoly._trusted(ring, terms) for terms in row] for row in matrix]
     return MatrixAction(group, rows)

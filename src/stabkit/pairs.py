@@ -394,5 +394,5 @@ def _random_laurent(rng: random.Random) -> LaurentPoly:
         coeff = 0
         while coeff == 0:
             coeff = rng.randint(-2, 2)
-        terms[rng.randint(-2, 2)] = Fraction(coeff)
+        terms[rng.randint(-2, 2)] = coeff
     return LaurentPoly(terms)

@@ -477,8 +477,8 @@ def s_poly(f, g, order):
     """S-polynomial, built from `lead` and ring arithmetic."""
     (fm, fc), (gm, gc) = f.lead(order), g.lead(order)
     lcm = tuple(map(max, fm, gm))
-    left = f * MultiPoly(f.variables, {mono_div(lcm, fm): 1 / fc})
-    return left - g * MultiPoly(g.variables, {mono_div(lcm, gm): 1 / gc})
+    left = f * MultiPoly(f.variables, {mono_div(lcm, fm): Fraction(1) / fc})
+    return left - g * MultiPoly(g.variables, {mono_div(lcm, gm): Fraction(1) / gc})
 
 
 def buchberger_holds(basis, order):

@@ -346,7 +346,10 @@ class TestSymAction:
         assert [list(row) for row in got.matrix] == want
         for row in got.matrix:
             for p in row:
-                assert all(type(c) is Fraction for c in p.terms.values())
+                assert all(
+                    (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1)
+                    for c in p.terms.values()
+                )
 
     @pytest.mark.parametrize("group, d", [(TORI[1], 2), (TORI[3], 1), (SL2, 0), (GL2, -1)])
     def test_errors_match_reference(self, group, d):

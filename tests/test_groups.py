@@ -60,6 +60,25 @@ def leibniz_det(ring, k: int) -> MultiPoly:
     return out
 
 
+def cofactor_det(ring, k: int) -> MultiPoly:
+    """Generic k*k determinant by cofactor expansion along the first row, the
+    way det_polynomial built it before it wrote the Leibniz terms directly."""
+
+    def det(matrix):
+        if len(matrix) == 1:
+            return matrix[0][0]
+        out = MultiPoly.zero(ring)
+        for j, entry in enumerate(matrix[0]):
+            minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+            term = entry * det(minor)
+            out = out - term if j % 2 else out + term
+        return out
+
+    return det(
+        [[MultiPoly.var(ring, f"g{i}{j}") for j in range(1, k + 1)] for i in range(1, k + 1)]
+    )
+
+
 small_exps = st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=2)
 
 
@@ -75,6 +94,18 @@ class TestPresentations:
 
     def test_det_polynomial(self):
         ring = entry_variables(2)
+        assert det_polynomial(2, ring) == parse_multi("g11*g22 - g12*g21", ring)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_det_polynomial_is_the_cofactor_determinant_term_for_term(self, k):
+        ring = entry_variables(k)
+        got = det_polynomial(k, ring)
+        assert got == leibniz_det(ring, k)
+        assert list(got.terms.items()) == list(cofactor_det(ring, k).terms.items())
+        assert all(type(c) is int for c in got.terms.values())
+
+    def test_det_polynomial_in_a_reordered_larger_ring(self):
+        ring = ["z", "g22", "g21", INV_VAR, "g12", "g11"]
         assert det_polynomial(2, ring) == parse_multi("g11*g22 - g12*g21", ring)
 
     def test_flags(self):

@@ -1,0 +1,317 @@
+"""Integer coefficients in the shared polynomial kernel.
+
+Every term dict of MultiPoly and LaurentPoly holds an int where a
+coefficient is integral and a Fraction only where it is not; floats are
+refused where terms enter.  The kernel is checked against a test-local
+all-Fraction copy on mixed int/Fraction inputs, and the whole corpus is run
+with every wrapped arithmetic result inspected.
+"""
+
+import json
+import operator
+from fractions import Fraction
+from importlib import resources
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stabkit.algebra import GREVLEX, LEX, LaurentFrac, LaurentPoly, MonomialOrder, MultiPoly
+from stabkit.algebra import parse_laurent, parse_multi
+from stabkit.algebra.ideals import _lead, _normal_form, _spoly
+from stabkit.algebra.multipoly import _mul_mono, mono_div, mono_divides, mono_lcm
+from stabkit.cli import main
+from stabkit.groups import Arc, GroupPresentation, MatrixAction, act, sym_action
+
+RING = ("x", "y", "z")
+ORDERS = [GREVLEX, LEX, MonomialOrder("block", split=1)]
+
+
+def is_kernel_coefficient(c):
+    """A nonzero int, or a Fraction that is not an integer."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1)
+
+
+def assert_kernel_terms(terms):
+    assert all(map(is_kernel_coefficient, terms.values())), terms
+
+
+# The all-Fraction kernel: every coefficient is made a Fraction first, and
+# sums start from Fraction(0).
+def frac(terms):
+    return {m: Fraction(c) for m, c in terms.items()}
+
+
+def frac_add(a, b):
+    out = frac(a)
+    for m, c in b.items():
+        s = out.get(m, Fraction(0)) + Fraction(c)
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def frac_mul(a, b, add):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            out = frac_add(out, {add(m1, m2): Fraction(c1) * Fraction(c2)})
+    return out
+
+
+def frac_pow(a, n, one, add):
+    out = {one: Fraction(1)}
+    for _ in range(n):
+        out = frac_mul(out, a, add)
+    return out
+
+
+def frac_scale(a, c):
+    c = Fraction(c)
+    return {m: Fraction(k) * c for m, k in a.items()} if c else {}
+
+
+def frac_spoly(f, g, order):
+    (fm, fc), (gm, gc) = f.lead(order), g.lead(order)
+    l = mono_lcm(fm, gm)
+    left = frac_mul({mono_div(l, fm): 1 / Fraction(fc)}, f.terms, _mul_mono)
+    right = frac_mul({mono_div(l, gm): -1 / Fraction(gc)}, g.terms, _mul_mono)
+    return frac_add(left, right)
+
+
+def frac_normal_form(f, basis, order):
+    """Remainder of f modulo basis, reducers tried smallest lead first."""
+    leads = sorted(
+        ((g.lead(order), g) for g in basis if not g.is_zero()), key=lambda e: order.key(e[0][0])
+    )
+    work, rem = frac(f.terms), {}
+    while work:
+        m = max(work, key=order.key)
+        c = work[m]
+        for (gm, gc), g in leads:
+            if mono_divides(gm, m):
+                work = frac_add(work, frac_mul({mono_div(m, gm): -c / gc}, g.terms, _mul_mono))
+                break
+        else:
+            rem[m] = c
+            del work[m]
+    return rem
+
+
+def frac_act(action, arc, vector):
+    """(numerator terms, denominator terms) of each coordinate of arc.vector:
+    each row contracted with the vector, evaluated at the arc term by term,
+    with ginv^k cleared as det^(top - k)."""
+    entries = [e.terms for row in arc.matrix for e in row]
+    n = len(entries)
+    det = arc.det.terms
+    rows = []
+    for row in action.matrix:
+        acc = {}
+        for c, entry in zip(vector, row):
+            acc = frac_add(acc, frac_scale(entry.terms, c))
+        rows.append(acc)
+    top = max((m[n] for row in rows for m in row), default=0)
+    out = []
+    for acc in rows:
+        total = {}
+        for mono, c in acc.items():
+            term = {0: Fraction(c)}
+            for base, e in zip(entries + [det], mono[:n] + (top - mono[n],)):
+                term = frac_mul(term, frac_pow(base, e, 0, operator.add), operator.add)
+            total = frac_add(total, term)
+        out.append(total)
+    return out, frac_pow(det, top, 0, operator.add)
+
+
+# Mixed inputs: ints, integral Fractions and proper Fractions.
+mixed = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+    st.integers(min_value=-4, max_value=4).map(Fraction),
+)
+nonzero_mixed = mixed.filter(bool)
+monos = st.tuples(*([st.integers(min_value=0, max_value=2)] * len(RING)))
+multi_polys = st.dictionaries(monos, nonzero_mixed, max_size=4).map(
+    lambda terms: MultiPoly(RING, terms)
+)
+laurent_polys = st.dictionaries(
+    st.integers(min_value=-3, max_value=3), nonzero_mixed, max_size=4
+).map(LaurentPoly)
+
+
+class TestAgainstFractionKernel:
+    @given(multi_polys, multi_polys, st.integers(min_value=0, max_value=3), mixed)
+    @settings(max_examples=150, deadline=None)
+    def test_multi_arithmetic(self, a, b, n, c):
+        for got, want in [
+            (a + b, frac_add(a.terms, b.terms)),
+            (a - b, frac_add(a.terms, frac_scale(b.terms, -1))),
+            (a * b, frac_mul(a.terms, b.terms, _mul_mono)),
+            (a.pow(n), frac_pow(a.terms, n, (0,) * len(RING), _mul_mono)),
+            (a.scale(c), frac_scale(a.terms, c)),
+            (a + c, frac_add(a.terms, {(0, 0, 0): c})),
+        ]:
+            assert got.terms == want
+            assert_kernel_terms(got.terms)
+
+    @given(laurent_polys, laurent_polys, st.integers(min_value=0, max_value=3), mixed)
+    @settings(max_examples=150, deadline=None)
+    def test_laurent_arithmetic(self, a, b, n, c):
+        for got, want in [
+            (a + b, frac_add(a.terms, b.terms)),
+            (a - b, frac_add(a.terms, frac_scale(b.terms, -1))),
+            (a * b, frac_mul(a.terms, b.terms, operator.add)),
+            (a.pow(n), frac_pow(a.terms, n, 0, operator.add)),
+            (a.scale(c), frac_scale(a.terms, c)),
+        ]:
+            assert got.terms == want
+            assert_kernel_terms(got.terms)
+
+    @given(
+        multi_polys.filter(lambda p: not p.is_zero()),
+        multi_polys.filter(lambda p: not p.is_zero()),
+        st.sampled_from(ORDERS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_spoly(self, f, g, order):
+        got = _spoly(_lead(f, order), _lead(g, order))
+        assert got == frac_spoly(f, g, order)
+        assert_kernel_terms(got)
+
+    @given(multi_polys, st.lists(multi_polys, min_size=1, max_size=3), st.sampled_from(ORDERS))
+    @settings(max_examples=150, deadline=None)
+    def test_normal_form(self, f, basis, order):
+        reducers = sorted(
+            (_lead(g, order) for g in basis if not g.is_zero()), key=operator.itemgetter(0)
+        )
+        got = _normal_form(dict(f.terms), reducers, order)
+        assert got == frac_normal_form(f, basis, order)
+        assert_kernel_terms(got)
+
+
+SL2 = GroupPresentation.special_linear(2)
+GL2 = GroupPresentation.general_linear(2)
+small = st.integers(min_value=-2, max_value=2)
+laurent_entries = st.dictionaries(small, nonzero_mixed, min_size=1, max_size=2).map(LaurentPoly)
+
+
+@st.composite
+def falsifier_arcs(draw, group):
+    """Products of t-power diagonals (of determinant 1 for SL2) and
+    elementary matrices with small Laurent entries, as the falsifier draws
+    them, except that the entries mix int and Fraction coefficients."""
+    arc = Arc.identity(2)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            i, j = draw(st.permutations(range(2)))
+            arc = arc @ Arc.elementary(2, i, j, draw(laurent_entries))
+        else:
+            exps = draw(st.lists(small, min_size=2, max_size=2))
+            if group is SL2:
+                exps[-1] = -exps[0]
+            arc = arc @ Arc.one_ps(exps)
+    return arc
+
+
+@st.composite
+def act_cases(draw):
+    group = draw(st.sampled_from([SL2, GL2]))
+    if draw(st.booleans()):
+        action = sym_action(group, draw(st.integers(min_value=1, max_value=4)))
+    else:
+        ring_monos = st.tuples(*([st.integers(min_value=0, max_value=2)] * 5))
+        entry = st.dictionaries(ring_monos, nonzero_mixed, max_size=3).map(
+            lambda t: MultiPoly(group.variables, t)
+        )
+        dim = draw(st.integers(min_value=1, max_value=2))
+        row = st.lists(entry, min_size=dim, max_size=dim)
+        action = MatrixAction(group, draw(st.lists(row, min_size=dim, max_size=dim)))
+    arc = draw(falsifier_arcs(group))
+    vector = draw(st.lists(mixed, min_size=action.dim, max_size=action.dim))
+    return action, arc, vector
+
+
+class TestActAgainstFractionKernel:
+    @given(act_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_act(self, case):
+        action, arc, vector = case
+        got = act(action, arc, vector)
+        nums, den = frac_act(action, arc, vector)
+        for g, num in zip(got, nums):
+            assert isinstance(g, LaurentFrac)
+            assert (g.num.terms, g.den.terms) == (num, den)
+            assert_kernel_terms(g.num.terms)
+            assert_kernel_terms(g.den.terms)
+
+
+class TestEntryPoints:
+    def test_integral_fractions_enter_as_ints(self):
+        p = MultiPoly(RING, {(1, 0, 0): Fraction(4, 2), (0, 1, 0): Fraction(1, 2)})
+        assert list(map(type, p.terms.values())) == [int, Fraction]
+        assert type(MultiPoly.constant(RING, Fraction(3)).terms[(0, 0, 0)]) is int
+        assert type(MultiPoly.var(RING, "y").terms[(0, 1, 0)]) is int
+        assert type(LaurentPoly({2: Fraction(-6, 3)}).terms[2]) is int
+        assert type(LaurentPoly.constant(Fraction(5)).terms[0]) is int
+        assert type(LaurentPoly.t_power(-1).terms[-1]) is int
+        assert parse_multi("2/2*x - 3/2*y + 4", RING).terms == {
+            (1, 0, 0): 1,
+            (0, 1, 0): Fraction(-3, 2),
+            (0, 0, 0): 4,
+        }
+        assert_kernel_terms(parse_multi("2/2*x - 3/2*y + 4 - 1/2 + 1/2*x", RING).terms)
+        assert parse_laurent("4/2*t^-1 + 1/3 + 2/3").terms == {-1: 2, 0: 1}
+        assert_kernel_terms(parse_laurent("4/2*t^-1 + 1/3 + 2/3").terms)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, 0.0])
+    def test_floats_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            MultiPoly(RING, {(0, 0, 0): bad})
+        with pytest.raises(TypeError):
+            LaurentPoly({0: bad})
+        with pytest.raises(TypeError):
+            MultiPoly.var(RING, "x").scale(bad)
+        with pytest.raises(TypeError):
+            LaurentPoly.t_power(1).scale(bad)
+
+
+def corpus_jobs():
+    jobs = []
+    for path in resources.files("stabkit").joinpath("corpus").iterdir():
+        if path.name.endswith(".json"):
+            jobs.extend((entry["id"], entry["job"]) for entry in json.loads(path.read_text()))
+    return sorted(jobs, key=operator.itemgetter(0))
+
+
+def test_corpus_term_dicts_hold_ints_and_proper_fractions(monkeypatch, tmp_path):
+    """Every arithmetic result the corpus wraps keeps the invariant."""
+    bad, seen = [], []
+
+    def inspect(terms):
+        seen.append(len(terms))
+        bad.extend((m, c) for m, c in terms.items() if not is_kernel_coefficient(c))
+
+    multi, laurent = MultiPoly._trusted, LaurentPoly._trusted
+
+    def checked_multi(variables, terms):
+        inspect(terms)
+        return multi(variables, terms)
+
+    def checked_laurent(terms):
+        inspect(terms)
+        return laurent(terms)
+
+    monkeypatch.setattr(MultiPoly, "_trusted", staticmethod(checked_multi))
+    monkeypatch.setattr(LaurentPoly, "_trusted", staticmethod(checked_laurent))
+    jobs = corpus_jobs()
+    assert len(jobs) == 30
+    for job_id, document in jobs:
+        job, report = tmp_path / f"{job_id}.json", tmp_path / f"{job_id}.report.json"
+        job.write_text(json.dumps(document))
+        assert main(["run", str(job), "--out", str(report)]) == 0, job_id
+    assert sum(seen) > 0
+    assert bad == []
+

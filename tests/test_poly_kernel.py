@@ -84,7 +84,7 @@ def ref_reduce(f, basis, order):
         m, c = work.lead(order)
         for (gm, gc), g in leads:
             if mono_divides(gm, m):
-                work = work - g * MultiPoly(work.variables, {mono_div(m, gm): c / gc})
+                work = work - g * MultiPoly(work.variables, {mono_div(m, gm): Fraction(c) / gc})
                 break
         else:
             rem_terms[m] = c
@@ -123,7 +123,7 @@ def ref_max_reduce(f, basis, order):
         c = work[m]
         for gm, g in leads:
             if mono_divides(gm, m):
-                _mul_into(work, {mono_div(m, gm): -c / g.terms[gm]}, g.terms, _mul_mono)
+                _mul_into(work, {mono_div(m, gm): Fraction(-c) / g.terms[gm]}, g.terms, _mul_mono)
                 break
         else:
             rem_terms[m] = c
@@ -135,10 +135,15 @@ def negated(terms):
     return {m: -c for m, c in terms.items()}
 
 
+def is_kernel_coefficient(c):
+    """A nonzero int, or a Fraction that is not an integer."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1)
+
+
 def assert_clean_multi(r, expected):
     assert isinstance(r, MultiPoly) and r.variables == RING
     assert r.terms == expected
-    assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    assert all(map(is_kernel_coefficient, r.terms.values()))
     assert all(
         type(m) is tuple and len(m) == len(RING) and all(type(e) is int for e in m)
         for m in r.terms
@@ -149,7 +154,7 @@ def assert_clean_multi(r, expected):
 def assert_clean_laurent(r, expected):
     assert isinstance(r, LaurentPoly)
     assert r.terms == expected
-    assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    assert all(map(is_kernel_coefficient, r.terms.values()))
     assert all(type(e) is int for e in r.terms)
     assert r == LaurentPoly(r.terms)
 
@@ -223,8 +228,8 @@ class TestReduction:
     def test_spoly_matches_reference(self, f, g, order):
         (fm, fc), (gm, gc) = f.lead(order), g.lead(order)
         lcm = tuple(max(a, b) for a, b in zip(fm, gm))
-        left = f * MultiPoly(RING, {mono_div(lcm, fm): 1 / fc})
-        right = g * MultiPoly(RING, {mono_div(lcm, gm): 1 / gc})
+        left = f * MultiPoly(RING, {mono_div(lcm, fm): Fraction(1) / fc})
+        right = g * MultiPoly(RING, {mono_div(lcm, gm): Fraction(1) / gc})
         s = _spoly(_lead(f, order), _lead(g, order))
         assert_clean_multi(MultiPoly._trusted(RING, s), (left - right).terms)
 
