@@ -76,7 +76,13 @@ from .kstab import (
 )
 from .locus import ActionProblem, FamilyPair, degeneration_locus, family_unstable_locus
 from .locus import orbit_map_closure, point_degenerates
-from .pairs import Pair, dr_stable_at, sample_falsifier, torus_semistable, torus_stable_at
+from .pairs import (
+    Pair,
+    associated_pair,
+    sample_falsifier,
+    stability_interval,
+    torus_semistable,
+)
 
 SCHEMA_VERSION = 1
 ORDERS = {"grevlex": GREVLEX, "lex": LEX}
@@ -286,18 +292,22 @@ def _run_pairs_check(payload: dict, budget: Budget, seed):
 def _run_pairs_stable(payload: dict, budget: Budget, seed):
     pair = _pair_from_payload(payload)
     top = payload.get("max_level", 5)
+    interval = stability_interval(pair)
+
+    def status(c: Fraction) -> str:
+        held = interval is not None and interval[0] <= c <= interval[1]
+        return "stable-at-l" if held else "not-stable-at-l"
+
     levels = {}
     least_assoc = None
     least_dr = None
-    best_cert = None
     for level in range(1, top + 1):
-        assoc = torus_stable_at(pair, level)
-        dr = dr_stable_at(pair, level)
-        levels[str(level)] = {"associated": assoc.status, "dr": dr.status}
-        if assoc.status == "stable-at-l" and least_assoc is None:
+        assoc = status(Fraction(-1, level + 1))
+        dr = status(Fraction(1, level + 1))
+        levels[str(level)] = {"associated": assoc, "dr": dr}
+        if assoc == "stable-at-l" and least_assoc is None:
             least_assoc = level
-            best_cert = _jsonable(assoc.certificate)
-        if dr.status == "stable-at-l" and least_dr is None:
+        if dr == "stable-at-l" and least_dr is None:
             least_dr = level
     values = {
         "levels": levels,
@@ -305,8 +315,12 @@ def _run_pairs_stable(payload: dict, budget: Budget, seed):
         "least_dr_level": least_dr,
         "max_level": top,
     }
-    status = "stable-at-l" if least_assoc is not None else "not-stable-at-l"
-    return status, values, best_cert
+    if least_assoc is None:
+        return "not-stable-at-l", values, None
+    verdict = torus_semistable(associated_pair(pair, least_assoc))
+    if verdict.status != "semistable":
+        raise AssertionError("hull test disagrees with the stability interval")
+    return "stable-at-l", values, _jsonable(verdict.certificate)
 
 
 def _run_pairs_falsify(payload: dict, budget: Budget, seed):
@@ -319,7 +333,7 @@ def _run_pairs_falsify(payload: dict, budget: Budget, seed):
         group,
     )
     draws = payload.get("draws", 200)
-    found = sample_falsifier(pair, budget=draws, seed=seed)
+    found = sample_falsifier(pair, draws=draws, seed=seed)
     if found is None:
         return "none-found", {"draws": draws}, None
     arc, mu = found

@@ -2,10 +2,13 @@
 
 For torus groups everything reduces to exact polyhedral geometry on the weight
 supports: a pair is semistable exactly when the hull of the w-support sits
-inside the hull of the v-support, and the level-l conditions are containments
-between Minkowski sums.  Every verdict carries a certificate that is
-re-verified through the arc-weight machinery before being returned.  For
-non-abelian groups only a seeded randomized falsifier is offered.
+inside the hull of the v-support.  Both level-l conditions, semistability of
+the associated pair and the norm gap, ask whether mu >= c * norm on every
+one-parameter subgroup for one value of c, so one stability interval of such
+c, found by two LPs per cone of the refined normal fan, decides every level.
+Destabilizers and interval ends are re-verified through the arc-weight
+machinery before being returned.  For non-abelian groups only a seeded
+randomized falsifier is offered.
 """
 
 from __future__ import annotations
@@ -74,13 +77,12 @@ class Pair:
 class Verdict:
     """Outcome of a stability check with its certificate.
 
-    An unstable or not-stable verdict always carries a destabilizer whose
-    recomputed weight violates the inequality in question.
+    An unstable verdict always carries a destabilizer whose recomputed weight
+    is negative.
     """
 
     status: str
     certificate: dict
-    level: int | None = None
 
 
 def torus_supports(pair: Pair) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -256,108 +258,81 @@ def associated_pair(pair: Pair, level: int) -> Pair:
     )
 
 
-def torus_stable_at(pair: Pair, level: int) -> Verdict:
-    """Stability at the given level via the associated pair's semistability."""
-    inner = torus_semistable(associated_pair(pair, level))
-    status = "stable-at-l" if inner.status == "semistable" else "not-stable-at-l"
-    return Verdict(status, inner.certificate, level=level)
+def stability_interval(pair: Pair) -> tuple[Fraction | float, Fraction | float] | None:
+    """The closed interval of c with mu(a) >= c * norm(a) for every exponent
+    vector a, as (lo, hi) with -math.inf or math.inf for an open end and a
+    Fraction for a finite one, or None when it is empty.
 
+    Here mu(a) = min_W <a,.> - min_V <a,.> and norm(a) = min_V <a,.> -
+    d * min_i a_i with d = deg(V).  The pair is semistable exactly when 0 lies
+    in the interval and norm-gap stable at level l exactly when 1/(l+1) does.
+    Its associated pair at l is semistable exactly when -1/(l+1) does, since
+    minima add over the Minkowski sums d*simplex + l*supp v and (l+1)*supp w.
 
-def dr_stable_at(pair: Pair, level: int) -> Verdict:
-    """Norm-gap stability at level l: mu >= norm/(l+1) for every arc.
-
-    Both sides are piecewise-linear in the exponent vector a, so the check
-    refines the normal fans of the two supports together with the coordinate
-    fan and solves one exact LP per cone of the refinement.  A failing cone
-    yields a rational a, scaled to a primitive integer certificate and
-    re-verified through its arc weight and arc norm.
+    Both are linear on each cone where chi_w, chi_v and coordinate i attain
+    the three minima.  There the upper end is min{mu : norm = 1} and the
+    lower end -min{mu : norm = -1}; an unbounded LP empties the interval and
+    an infeasible one bounds nothing.  A point with norm = 0 and mu < 0 would
+    make a feasible one of them unbounded, so only a cone inside norm = 0
+    needs a third LP, over the unit box.  Each finite end is re-verified at
+    its minimizer, scaled to a primitive integer exponent vector.
     """
-    if level < 1:
-        raise ValueError("level must be a positive integer")
     supp_v, supp_w = torus_supports(pair)
     m = pair.rep_v.rank
     d = deg_of_rep(pair.rep_v, m)
-    if not supp_w:
-        return Verdict(
-            "stable-at-l",
-            {"reason": "w = 0; the weight is +infinity for every arc"},
-            level=level,
-        )
-    cones = 0
-    for chi_w in supp_w:
-        for chi_v in supp_v:
-            for i in range(m):
-                cones += 1
-                a = _dr_cone_violation(supp_v, supp_w, chi_v, chi_w, i, d, level, m)
-                if a is None:
-                    continue
-                cert = _verify_dr_violation(pair, a, d, level)
-                return Verdict("not-stable-at-l", cert, level=level)
-    return Verdict("stable-at-l", {"cones_checked": cones}, level=level)
-
-
-def _dr_cone_violation(supp_v, supp_w, chi_v, chi_w, i, d, level, m):
-    """Minimize the level-l gap on one cone; an exponent vector on failure.
-
-    The cone fixes which support points and which coordinate attain the three
-    minima; the gap (l+1)(<a,chi_w> - <a,chi_v>) - <a,chi_v> + d*a_i is then
-    linear, and negativity somewhere is equivalent to negativity over the unit
-    box by homogeneity.
-    """
-    c = [(level + 1) * (chi_w[j] - chi_v[j]) - chi_v[j] for j in range(m)]
-    c[i] += d
-    a_ub = []
-    b_ub = []
-    for q in supp_w:  # <a, chi_w> <= <a, q>
-        a_ub.append([chi_w[j] - q[j] for j in range(m)])
-        b_ub.append(0)
-    for q in supp_v:
-        a_ub.append([chi_v[j] - q[j] for j in range(m)])
-        b_ub.append(0)
-    for j in range(m):  # a_i <= a_j
-        if j == i:
-            continue
-        row = [0] * m
-        row[i] = 1
-        row[j] = -1
-        a_ub.append(row)
-        b_ub.append(0)
-    _add_unit_box(a_ub, b_ub, m, m)
-    res = linprog.solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=[False] * m)
-    if res.status != linprog.OPTIMAL or res.objective >= 0:
-        return None
-    return linprog._primitive(res.x)
-
-
-def _verify_dr_violation(pair: Pair, a: list[int], d: int, level: int) -> dict:
-    arc = Arc.one_ps(a)
-    ord_v = image_order(pair.rep_v, arc, pair.v)
-    mu = mu_from_order(ord_v, pair.rep_w, pair.w, arc)
-    norm = norm_from_order(ord_v, d, arc)
-    if not mu < Fraction(norm, level + 1):
-        raise AssertionError("cone certificate failed re-verification")
-    return {
-        "exponents": a,
-        "mu": format_rational(mu),
-        "norm": format_rational(norm),
-        "bound": format_rational(Fraction(norm, level + 1)),
-    }
+    lo, hi = -math.inf, math.inf
+    witness = {}
+    for chi_w, chi_v in itertools.product(supp_w, supp_v):
+        mu = [chi_w[j] - chi_v[j] for j in range(m)]
+        minima = [[chi_w[j] - q[j] for j in range(m)] for q in supp_w]
+        minima += [[chi_v[j] - q[j] for j in range(m)] for q in supp_v]
+        for i in range(m):
+            cone = minima + [  # a_i <= a_k
+                [(j == i) - (j == k) for j in range(m)] for k in range(m) if k != i
+            ]
+            norm = [chi_v[j] - d * (j == i) for j in range(m)]
+            feasible = False
+            for side in (1, -1):
+                res = linprog.solve_lp(mu, cone, [0] * len(cone), [norm], [side], [False] * m)
+                if res.status == linprog.UNBOUNDED:
+                    return None
+                if res.status == linprog.OPTIMAL:
+                    feasible = True
+                    end = side * res.objective
+                    if side == 1 and end < hi:
+                        hi, witness[side] = end, (end, res.x)
+                    elif side == -1 and end > lo:
+                        lo, witness[side] = end, (end, res.x)
+            if not feasible:
+                b_ub = [0] * len(cone)
+                _add_unit_box(cone, b_ub, m, m)
+                if linprog.solve_lp(mu, cone, b_ub, [norm], [0], [False] * m).objective < 0:
+                    return None
+            if lo > hi:
+                return None
+    for end, x in witness.values():
+        arc = Arc.one_ps(linprog._primitive(x))
+        ord_v = image_order(pair.rep_v, arc, pair.v)
+        mu_a = mu_from_order(ord_v, pair.rep_w, pair.w, arc)
+        if mu_a != end * norm_from_order(ord_v, d, arc):
+            raise AssertionError("stability interval end failed re-verification")
+    return lo, hi
 
 
 def sample_falsifier(
-    pair: Pair, budget: int = 200, seed: int = 0
+    pair: Pair, draws: int = 200, seed: int = 0
 ) -> tuple[Arc, Fraction] | None:
     """Seeded random search for an arc of negative weight.
 
-    Draws products of diagonal t-power arcs and elementary matrices with
-    small Laurent entries; returns the first destabilizer (with its weight)
-    after re-verification, or None once the budget is spent.  A negative
-    result is not a semistability proof for non-abelian groups.
+    Draws up to `draws` products of diagonal t-power arcs and elementary
+    matrices with small Laurent entries; returns the first destabilizer (with
+    its weight) after re-verification, or None once every draw is spent.  A
+    negative result is not a semistability proof for non-abelian groups.
     """
     if all(c == 0 for c in pair.w):
         return None
     rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in range(draws):
         arc = _draw_arc(pair.group, rng)
         mu = mu_weight(pair.rep_v, pair.rep_w, pair.v, pair.w, arc)
         if mu is not math.inf and mu < 0:

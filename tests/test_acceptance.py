@@ -6,6 +6,7 @@ copied from library output, and each criterion asserts its own wall-clock
 bound so the suite doubles as a smoke benchmark.
 """
 
+import json
 import math
 import random
 import time
@@ -51,7 +52,7 @@ from stabkit.locus import (
     degeneration_locus,
     family_unstable_locus,
 )
-from stabkit.pairs import Pair, dr_stable_at, torus_semistable, torus_stable_at
+from stabkit.pairs import Pair, stability_interval, torus_semistable
 
 T1 = GroupPresentation.torus(1)
 GL2 = GroupPresentation.general_linear(2)
@@ -423,22 +424,47 @@ def rank2_pair(weights_v, v, weights_w, w):
     )
 
 
+def stable_at(interval, level):
+    """(associated, norm-gap) stability at a level, read off the interval."""
+    return tuple(
+        interval is not None and interval[0] <= c <= interval[1]
+        for c in (Fraction(-1, level + 1), Fraction(1, level + 1))
+    )
+
+
 def test_a09_level_stability_on_worked_pairs():
     with deadline(5.0):
         stable = rank2_pair([(3, 1), (1, 3)], [1, 1], [(2, 2)], [1])
         unstable = rank2_pair([(3, 1), (1, 3)], [1, 1], [(4, 0)], [1])
         norm_gap = rank2_pair([(2, 2)], [1], [(2, 2)], [1])
+        intervals = {p: stability_interval(p) for p in (stable, unstable, norm_gap)}
         for level in range(1, 6):
-            for pair in (stable, unstable, norm_gap):
-                dr = dr_stable_at(pair, level).status == "stable-at-l"
-                assoc = torus_stable_at(pair, level).status == "stable-at-l"
+            for interval in intervals.values():
+                assoc, dr = stable_at(interval, level)
                 assert not dr or assoc
-            assert torus_stable_at(unstable, level).status == "not-stable-at-l"
-            assert dr_stable_at(unstable, level).status == "not-stable-at-l"
-            assert torus_stable_at(norm_gap, level).status == "stable-at-l"
-            assert dr_stable_at(norm_gap, level).status == "not-stable-at-l"
-        assert torus_stable_at(stable, 1).status == "stable-at-l"
-        assert dr_stable_at(stable, 1).status == "stable-at-l"
+            assert stable_at(intervals[unstable], level) == (False, False)
+            assert stable_at(intervals[norm_gap], level) == (True, False)
+        assert stable_at(intervals[stable], 1) == (True, True)
+
+
+def test_a09_level_stability_scales_to_level_20(tmp_path, capsys):
+    # four rank-3 weights against (4,0,0): the per-level Minkowski sums of
+    # the associated pairs grow with the level, the one interval does not
+    job = tmp_path / "job.json"
+    payload = {
+        "rank": 3,
+        "weights_v": [[3, 1, 0], [1, 3, 0], [0, 1, 3], [2, 0, 2]],
+        "weights_w": [[4, 0, 0]],
+        "v": [1, 1, 1, 1],
+        "w": [1],
+        "max_level": 20,
+    }
+    job.write_text(json.dumps({"schema_version": 1, "kind": "pairs.stable", "payload": payload}))
+    with deadline(1.0):
+        assert main(["run", str(job)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "not-stable-at-l"
+    assert len(report["values"]["levels"]) == 20
 
 
 # -- family loci -------------------------------------------------------------

@@ -1,25 +1,34 @@
 """Pair semistability, level stability, and the randomized falsifier."""
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit.groups import Arc, GroupPresentation, TorusWeights, mu_weight, sym_action
+from stabkit import linprog
+from stabkit.groups import (
+    Arc,
+    GroupPresentation,
+    TorusWeights,
+    arc_norm,
+    mu_weight,
+    sym_action,
+)
 from stabkit.linprog import _primitive
 from stabkit.pairs import (
     Pair,
     associated_pair,
-    dr_stable_at,
     minkowski_power,
     point_in_hull,
     sample_falsifier,
     separating_exponents,
     simplex_weights,
+    stability_interval,
     supports_semistable,
     torus_semistable,
-    torus_stable_at,
     torus_supports,
 )
 
@@ -75,6 +84,17 @@ graded_weight_lists = st.lists(
     min_size=1,
     max_size=3,
 )
+# v-weights of one degree d, (a, d - a): then norm(a) >= 0 for every 1-PS
+one_degree_weight_lists = st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.lists(
+        st.integers(min_value=0, max_value=d).map(lambda a: (a, d - a)), min_size=1, max_size=3
+    )
+)
+
+
+def holds(interval, c):
+    """Whether c lies in a stability interval; None is the empty one."""
+    return interval is not None and interval[0] <= c <= interval[1]
 
 
 class TestPairValidation:
@@ -209,56 +229,93 @@ class TestLevels:
 
     def test_stable_pair_at_level_one(self):
         pair = torus_pair([(3, 1), (1, 3)], [(2, 2)])
-        assert torus_stable_at(pair, 1).status == "stable-at-l"
-        assert dr_stable_at(pair, 1).status == "stable-at-l"
+        interval = stability_interval(pair)
+        assert holds(interval, Fraction(-1, 2))
+        assert holds(interval, Fraction(1, 2))
 
     def test_unstable_pair_at_every_level(self):
         pair = torus_pair([(3, 1), (1, 3)], [(4, 0)])
+        interval = stability_interval(pair)
         for level in (1, 2, 3):
-            assert torus_stable_at(pair, level).status == "not-stable-at-l"
-            assert dr_stable_at(pair, level).status == "not-stable-at-l"
+            assert not holds(interval, Fraction(-1, level + 1))
+            assert not holds(interval, Fraction(1, level + 1))
 
     def test_norm_gap_discrepancy(self):
         # mu = 0 < norm/(l+1) along skew directions, yet every associated
         # pair is semistable: the two level notions genuinely differ here
         pair = torus_pair([(2, 2)], [(2, 2)])
+        interval = stability_interval(pair)
         for level in (1, 2, 3, 4):
-            assert torus_stable_at(pair, level).status == "stable-at-l"
-            verdict = dr_stable_at(pair, level)
-            assert verdict.status == "not-stable-at-l"
-            assert verdict.certificate["mu"] == "0"
-            assert verdict.certificate["norm"] == "4"
+            assert holds(interval, Fraction(-1, level + 1))
+            assert not holds(interval, Fraction(1, level + 1))
+        a = (1, -1)  # mu = 0 and norm = 4 along this 1-PS
+        assert mu_weight(pair.rep_v, pair.rep_w, pair.v, pair.w, Arc.one_ps(a)) == 0
+        assert arc_norm(pair.rep_v, pair.v, Arc.one_ps(a)) == 4
 
     def test_w_zero_is_dr_stable(self):
         pair = torus_pair([(1, 0)], [(0, 0)], w=[0])
-        verdict = dr_stable_at(pair, 3)
-        assert verdict.status == "stable-at-l"
-        assert verdict.level == 3
+        assert stability_interval(pair) == (-math.inf, math.inf)
 
-    def test_verdict_carries_level(self):
-        pair = torus_pair([(3, 1), (1, 3)], [(2, 2)])
-        assert torus_stable_at(pair, 4).level == 4
+    @pytest.mark.parametrize(
+        "weights_v, weights_w, v, w, expected",
+        [
+            ([(3, 1), (1, 3)], [(2, 2)], None, None, (-math.inf, 1)),
+            ([(3, 1), (1, 3)], [(4, 0)], None, None, (-math.inf, -1)),
+            ([(2, 2)], [(2, 2)], None, None, (-math.inf, 0)),
+            # mu = 0 and norm = -a for a >= 0, mu = -a and norm = 0 for a < 0:
+            # norm-gap stable at every level, associated-stable at none
+            ([(2,), (1,)], [(1,)], None, None, (0, math.inf)),
+            # norm = 0 and mu = -a everywhere: every cone lies in norm = 0
+            ([(2,)], [(1,)], None, None, None),
+            ([(2,)], [(2,)], None, None, (-math.inf, math.inf)),
+            # supp v = {1}, d = 3: mu = a and norm = -2a on both sides of 0,
+            # so only level 1 is associated-stable
+            ([(3,), (1,)], [(2,)], [0, 1], None, (Fraction(-1, 2), Fraction(-1, 2))),
+            # supp v = {2, 1}, d = 3: a > 0 needs c >= -3/2 and a < 0 needs
+            # c <= -2, each bound by a feasible LP
+            ([(3,), (2,), (1,)], [(4,)], [0, 1, 1], None, None),
+            ([(3, 1), (1, 3)], [(4, 0)], None, [0], (-math.inf, math.inf)),
+        ],
+    )
+    def test_hand_derived_intervals(self, weights_v, weights_w, v, w, expected):
+        assert stability_interval(torus_pair(weights_v, weights_w, v, w)) == expected
 
-    @given(graded_weight_lists, weight_lists, st.integers(min_value=1, max_value=3))
+    @given(one_degree_weight_lists, weight_lists, st.integers(min_value=1, max_value=3))
     @settings(max_examples=30, deadline=None)
     def test_dr_implies_associated(self, wv, ww, level):
-        pair = torus_pair(wv, ww)
-        if dr_stable_at(pair, level).status == "stable-at-l":
-            assert torus_stable_at(pair, level).status == "stable-at-l"
+        # with no norm < 0 no lower end is finite; with mixed degrees the
+        # implication fails, e.g. [(2,), (1,)] against [(1,)] below
+        interval = stability_interval(torus_pair(wv, ww))
+        assert interval is None or interval[0] == -math.inf
+        if holds(interval, Fraction(1, level + 1)):
+            assert holds(interval, Fraction(-1, level + 1))
 
-    @given(graded_weight_lists, weight_lists, st.integers(min_value=1, max_value=3))
-    @settings(max_examples=30, deadline=None)
-    def test_dr_certificates_reverify(self, wv, ww, level):
+    @given(graded_weight_lists, weight_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_interval_ends_reverify(self, wv, ww):
+        # the interval is closed: each finite end c has mu >= c * norm on
+        # every 1-PS, checked here through the arc weight and arc norm
         pair = torus_pair(wv, ww)
-        verdict = dr_stable_at(pair, level)
-        if verdict.status == "not-stable-at-l":
-            cert = verdict.certificate
-            from stabkit.groups import arc_norm
-
-            arc = Arc.one_ps(cert["exponents"])
+        interval = stability_interval(pair)
+        ends = [c for c in interval or () if c not in (-math.inf, math.inf)]
+        for a in box_exponents(2, 4):
+            arc = Arc.one_ps(a)
             mu = mu_weight(pair.rep_v, pair.rep_w, pair.v, pair.w, arc)
             norm = arc_norm(pair.rep_v, pair.v, arc)
-            assert mu < Fraction(norm, level + 1)
+            assert all(mu >= c * norm for c in ends)
+
+    def test_a_wrong_end_fails_reverification(self, monkeypatch):
+        solve_lp = linprog.solve_lp
+
+        def shifted(*args, **kwargs):
+            res = solve_lp(*args, **kwargs)
+            if res.status == linprog.OPTIMAL:
+                res = dataclasses.replace(res, objective=res.objective + 1)
+            return res
+
+        monkeypatch.setattr(linprog, "solve_lp", shifted)
+        with pytest.raises(AssertionError, match="re-verification"):
+            stability_interval(torus_pair([(3, 1), (1, 3)], [(2, 2)]))
 
 
 class TestFalsifier:
