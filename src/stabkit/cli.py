@@ -2,8 +2,11 @@
 
 One document describes one job; `stabkit run job.json` validates it against
 the shipped schema, dispatches to the library, and emits a report whose
-numbers are exact rational strings.  Each job is checked against its kind's
-branch of the shipped schema, built once per process.  `stabkit corpus`
+numbers are exact rational strings.  The schema is compiled once per process
+into plain checks that accept a valid document without jsonschema; only a
+document they reject goes to jsonschema, whose first error is the message and
+whose verdict is final.  A float literal with an integral value, such as
+`2.0`, is read as the integer the schema takes it for.  `stabkit corpus`
 executes the bundled acceptance corpus and prints one pass/fail line per
 criterion.
 
@@ -27,6 +30,7 @@ from pathlib import Path
 import jsonschema
 
 from . import __version__
+from ._schemacheck import compile_schema
 from .algebra import (
     GREVLEX,
     LEX,
@@ -97,51 +101,38 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-def _inline_refs(node, defs: dict, done: dict):
-    """`node` with every `{"$ref": "#/$defs/<name>"}` replaced by that
-    definition, itself inlined.  Each definition is inlined once and shared;
-    the shipped schema's references stand alone and none recurses."""
-    if isinstance(node, list):
-        return [_inline_refs(v, defs, done) for v in node]
-    if not isinstance(node, dict):
-        return node
-    if "$ref" not in node:
-        return {k: _inline_refs(v, defs, done) for k, v in node.items()}
-    name = node["$ref"].removeprefix("#/$defs/")
-    if name not in done:
-        done[name] = _inline_refs(defs[name], defs, done)
-    return done[name]
-
-
 class _JobValidator:
-    """The job schema split by kind.  Each kind's validator checks the
-    envelope (the top-level keywords) plus that kind's one `if`/`then`
-    branch, with its references inlined.  A document with no known `kind`
-    gets the bare envelope, whose keywords come before `allOf` in the shipped
-    schema, so the first error is the one the whole schema reports."""
+    """The job schema twice: compiled to plain checks (`accepts`), which
+    decide validity fast, and as jsonschema's validator, which runs only on a
+    rejection and explains it."""
 
     def __init__(self, schema: dict):
-        defs, done = schema["$defs"], {}
-        envelope = {k: v for k, v in schema.items() if k not in ("allOf", "$defs")}
-        self.envelope = jsonschema.Draft202012Validator(envelope)
-        self.by_kind = {
-            branch["if"]["properties"]["kind"]["const"]: jsonschema.Draft202012Validator(
-                {**envelope, "allOf": [_inline_refs(branch, defs, done)]}
-            )
-            for branch in schema["allOf"]
-        }
+        self.accepts = compile_schema(schema)
+        self.explainer = jsonschema.Draft202012Validator(schema)
 
     def validate(self, document):
-        kind = document.get("kind") if isinstance(document, dict) else None
-        if isinstance(kind, str) and kind in self.by_kind:
-            self.by_kind[kind].validate(document)
-        else:
-            self.envelope.validate(document)
+        """Return when `document` is a valid job, else raise jsonschema's
+        first error.  A document the compiled check rejects and jsonschema
+        accepts is valid: a false rejection costs time, never a verdict."""
+        if not self.accepts(document):
+            self.explainer.validate(document)
 
 
 @functools.cache
 def _job_validator() -> _JobValidator:
     return _JobValidator(_load_schema("job-v1.schema.json"))
+
+
+def _integral_float(literal: str):
+    """`parse_float` hook for job and corpus files: a float literal with an
+    integral value, such as `2.0` or `1e2`, is the integer JSON Schema takes
+    it for; any other stays a float, which the schema rejects."""
+    value = float(literal)
+    return int(value) if value.is_integer() else value
+
+
+def _read_json(path: Path):
+    return json.loads(path.read_text(), parse_float=_integral_float)
 
 
 def _rat(value) -> Fraction:
@@ -580,7 +571,7 @@ def _emit(text: str, out: str | None):
 
 def _cmd_run(args) -> int:
     try:
-        document = json.loads(Path(args.job).read_text())
+        document = _read_json(Path(args.job))
     except OSError as exc:
         print(f"cannot read job document: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -640,7 +631,7 @@ def _load_corpus(directory: Path) -> list[dict]:
     validator = jsonschema.Draft202012Validator(_load_schema("corpus-v1.schema.json"))
     entries: list[dict] = []
     for path in files:
-        batch = json.loads(path.read_text())
+        batch = _read_json(path)
         validator.validate(batch)
         entries.extend(batch)
     ids = [e["id"] for e in entries]
@@ -709,6 +700,20 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK if all_pass else 1
 
 
+def _int_at_least(low: int):
+    """argparse type of an override: an integer no less than the job schema's
+    minimum for the same field."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is less than the minimum of {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
+    return parse
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -719,8 +724,10 @@ def _parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one JSON job document")
     run_p.add_argument("job", help="path to the job document")
-    run_p.add_argument("--budget", type=int, default=None, help="step budget override")
-    run_p.add_argument("--seed", type=int, default=None, help="seed override")
+    run_p.add_argument(
+        "--budget", type=_int_at_least(1), default=None, help="step budget override"
+    )
+    run_p.add_argument("--seed", type=_int_at_least(0), default=None, help="seed override")
     run_p.add_argument("--out", default=None, help="write the report to this path")
     run_p.add_argument(
         "--timing", action="store_true", help="include wall-clock timing in the report"
@@ -729,7 +736,9 @@ def _parser() -> argparse.ArgumentParser:
 
     corpus_p = sub.add_parser("corpus", help="run the bundled acceptance corpus")
     corpus_p.add_argument("--corpus", default=None, help="corpus directory override")
-    corpus_p.add_argument("--budget", type=int, default=None, help="step budget override")
+    corpus_p.add_argument(
+        "--budget", type=_int_at_least(1), default=None, help="step budget override"
+    )
     corpus_p.add_argument("--out", default=None, help="write a JSON summary to this path")
     corpus_p.set_defaults(func=_cmd_corpus)
     return parser

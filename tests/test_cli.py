@@ -277,6 +277,144 @@ class TestRun:
             main([])
 
 
+FALSIFY_JOB = {
+    "schema_version": 1,
+    "kind": "pairs.falsify",
+    "payload": {
+        "group": {"kind": "torus", "size": 1},
+        "rep_v": {"kind": "torus-weights", "weights": [[4], [2], [0], [-2], [-4]]},
+        "rep_w": {"kind": "torus-weights", "weights": [[0]]},
+        "v": [1, 0, 0, 0, 0],
+        "w": [1],
+        "draws": 3,
+    },
+    "seed": 2,
+}
+
+RANK2_PAIR = {
+    "rank": 2,
+    "weights_v": [[3, 1], [1, 3]],
+    "weights_w": [[2, 2]],
+    "v": [1, 1],
+    "w": [1],
+}
+
+
+class TestIntegralFloats:
+    """A float literal with an integral value reads as the integer JSON Schema
+    takes it for; any other float is still rejected."""
+
+    @pytest.mark.parametrize(
+        "document, path",
+        [
+            (FALSIFY_JOB, ("seed",)),
+            (
+                {"schema_version": 1, "kind": "pairs.check", "payload": RANK2_PAIR},
+                ("payload", "rank"),
+            ),
+            (
+                {
+                    "schema_version": 1,
+                    "kind": "pairs.stable",
+                    "payload": {**RANK2_PAIR, "max_level": 3},
+                },
+                ("payload", "max_level"),
+            ),
+        ],
+        ids=["seed", "rank", "max_level"],
+    )
+    def test_report_equals_the_integer_documents(self, tmp_path, capsys, document, path):
+        code, out, _ = run_cli(tmp_path, capsys, document)
+        assert code == EXIT_OK
+        floated = json.loads(json.dumps(document))
+        parent = floated
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = float(parent[path[-1]])
+        assert f"{parent[path[-1]]:.1f}" in json.dumps(floated)
+        assert run_cli(tmp_path, capsys, floated) == (EXIT_OK, out, "")
+
+    @pytest.mark.parametrize(
+        "field, literal, message",
+        [
+            ("seed", "1.5", "1.5 is not of type 'integer' (at $.seed)"),
+            ("seed", "1e400", "inf is not of type 'integer' (at $.seed)"),
+            ("budget", "0.0", "0 is less than the minimum of 1 (at $.budget)"),
+            ("rank", "10.0", "10 is greater than the maximum of 9 (at $.payload.rank)"),
+        ],
+    )
+    def test_other_floats_are_rejected(self, tmp_path, capsys, field, literal, message):
+        document = json.loads(json.dumps(CHECK_JOB))
+        if field == "rank":
+            document["payload"]["rank"] = "FIELD"
+        else:
+            document[field] = "FIELD"
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(document).replace('"FIELD"', literal))
+        code = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_INVALID, "")
+        assert captured.err == f"invalid job document: {message}\n"
+
+    def test_corpus_job(self, tmp_path, capsys):
+        job = {**CHECK_JOB, "payload": {**QUARTIC_PAIR, "rank": 1.0}}
+        d = tmp_path / "corpus"
+        d.mkdir()
+        entry = {"id": "t", "criterion": "A1", "job": job, "expect": {"verdict": "unstable"}}
+        (d / "batch.json").write_text(json.dumps([entry]))
+        assert main(["corpus", "--corpus", str(d)]) == EXIT_OK
+        assert "[t] ok" in capsys.readouterr().out
+
+
+JOB_SCHEMA = json.loads(
+    resources.files("stabkit").joinpath("schemas", "job-v1.schema.json").read_text()
+)
+
+
+class TestOverrideMinimums:
+    """`--budget` and `--seed` take what the job schema takes for `budget`
+    and `seed`; a smaller value exits 2, as a non-integer does."""
+
+    def test_minimums_are_the_schemas(self):
+        properties = JOB_SCHEMA["properties"]
+        assert (properties["budget"]["minimum"], properties["seed"]["minimum"]) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--budget", "-1"), ("--budget", "0"), ("--budget", "x"), ("--seed", "-1")],
+    )
+    def test_run_rejects(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, capsys, CHECK_JOB, flag, value)
+        assert exc.value.code == EXIT_INVALID
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, field", [("--budget", "1", "budget"), ("--seed", "0", "seed")]
+    )
+    def test_run_takes_the_minimum(self, tmp_path, capsys, flag, value, field):
+        code, out, _ = run_cli(tmp_path, capsys, CHECK_JOB, flag, value)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        echoed = report["budget"]["limit"] if field == "budget" else report["seed"]
+        assert echoed == int(value)
+
+    @pytest.mark.parametrize(
+        "value, code", [("-1", EXIT_INVALID), ("0", EXIT_INVALID), ("1", EXIT_OK)]
+    )
+    def test_corpus_budget(self, tmp_path, capsys, value, code):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        entry = {"id": "t", "criterion": "A1", "job": CHECK_JOB, "expect": {"verdict": "unstable"}}
+        (d / "batch.json").write_text(json.dumps([entry]))
+        try:
+            found = main(["corpus", "--corpus", str(d), "--budget", value])
+        except SystemExit as exc:
+            found = exc.code
+        capsys.readouterr()
+        assert found == code
+
+
 class TestExecuteJob:
     def test_returns_report_dict(self):
         report = execute_job(CHECK_JOB)

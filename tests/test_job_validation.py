@@ -1,21 +1,28 @@
-"""Per-kind job validation against the whole shipped schema.
+"""Job validation: a compiled check that accepts, jsonschema that explains.
 
-`cli._job_validator()` checks each document against the envelope of the job
-schema plus the one `if`/`then` branch of the document's `kind`, with the
-branch's references inlined.  A plain `Draft202012Validator` of the shipped
-file is the reference: on every mutant of the corpus jobs and of a set of
-valid documents, both must accept or both must raise, with the same first
-error message and `json_path`.
+`cli._job_validator()` compiles the shipped job schema into plain checks
+(`accepts`) and falls back to a plain `Draft202012Validator` of the shipped
+file only when they reject.  That validator, built here as `REFERENCE`, is the
+reference: on every mutant of the corpus jobs and of a set of valid documents
+the compiled check must accept exactly what it accepts, and `validate` must
+raise its first error message and `json_path`.
 """
 
+import copy
+import importlib.util
 import json
 import random
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabkit import cli
+from stabkit._schemacheck import compile_schema
 
 SCHEMA = json.loads(
     resources.files("stabkit").joinpath("schemas", "job-v1.schema.json").read_text()
@@ -155,6 +162,7 @@ class TestAgainstTheWholeSchema:
         for mutant in mutants(document, rng):
             expected = first_error(REFERENCE, mutant)
             assert first_error(cli._job_validator(), mutant) == expected, mutant
+            assert cli._job_validator().accepts(mutant) == (expected is None), mutant
             invalid += expected is not None
         assert invalid >= 20
 
@@ -162,6 +170,217 @@ class TestAgainstTheWholeSchema:
     def test_documents_that_are_not_objects(self, document):
         assert first_error(cli._job_validator(), document) == first_error(REFERENCE, document)
         assert first_error(REFERENCE, document) is not None
+        assert not cli._job_validator().accepts(document)
+
+
+LEAVES = [True, False, 0, 1, 1.0, -0.0, 2.5, 2**70, None, "", "1/0", "-3/4", [], {}]
+
+
+@st.composite
+def one_leaf_put(draw):
+    """A valid document with one drawn leaf in place of a drawn node, under
+    a new key of an object, or after the last item of an array."""
+    document = draw(st.sampled_from(VALID))
+    spots = []
+    for path, value in paths(document):
+        if path:
+            spots.append(path)
+        if isinstance(value, dict):
+            spots.append((*path, "extra"))
+        if isinstance(value, list):
+            spots.append((*path, len(value)))
+    leaf = copy.deepcopy(draw(st.sampled_from(LEAVES)))
+
+    def put(parent, key):
+        if isinstance(parent, list) and key == len(parent):
+            parent.append(leaf)
+        else:
+            parent[key] = leaf
+
+    return edited(document, draw(st.sampled_from(spots)), put)
+
+
+# the shape of the locus_* defs: keys of `allOf` and of `properties` evaluated
+UNEVALUATED = {
+    "$defs": {"base": {"properties": {"a": {"type": "integer"}}}},
+    "allOf": [{"$ref": "#/$defs/base"}],
+    "properties": {"b": {}},
+    "unevaluatedProperties": False,
+}
+LOCUS_PAYLOAD = next(d for d in EXTRA_VALID if d["kind"] == "locus.map")["payload"]
+
+
+class TestCompiledCheck:
+    """`accepts` alone: the same accept set as jsonschema, keyword by keyword."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(one_leaf_put())
+    def test_one_leaf_anywhere(self, document):
+        assert cli._job_validator().accepts(document) == REFERENCE.is_valid(document)
+
+    @pytest.mark.parametrize(
+        "kind, extra, valid",
+        [
+            ("locus.degeneration", {"target": ["x"], "probes": [[1, "1/2"], [0, -3]]}, True),
+            ("locus.degeneration", {"target": ["x"], "probes": []}, True),
+            ("locus.degeneration", {"target": ["x"], "probes": [[]]}, False),
+            ("locus.degeneration", {"target": ["x"], "probes": [["1/0"]]}, False),
+            ("locus.degeneration", {"target": ["x"], "probes": [1]}, False),
+            ("locus.degeneration", {"target": ["x"], "probes": [[1]], "extra": 1}, False),
+            ("locus.degeneration", {"probes": [[1]]}, False),
+            ("locus.map", {"target": ["x"]}, True),
+            ("locus.map", {"probes": [[1]]}, False),
+            ("locus.map", {"extra": 1}, False),
+            ("locus.map", {"point": [1]}, False),
+            ("locus.oracle", {"target": ["x"], "point": [1, "2"]}, True),
+            ("locus.oracle", {"target": ["x"], "point": [1], "probes": [[1]]}, False),
+        ],
+    )
+    def test_locus_payloads(self, kind, extra, valid):
+        document = job(kind, {**LOCUS_PAYLOAD, **extra})
+        assert REFERENCE.is_valid(document) == valid
+        assert cli._job_validator().accepts(document) == valid
+
+    @pytest.mark.parametrize(
+        "schema, instance, valid",
+        [
+            ({"type": "integer"}, 2.0, True),
+            ({"type": "integer"}, 2, True),
+            ({"type": "integer"}, True, False),
+            ({"type": "integer"}, 2.5, False),
+            ({"const": 1}, 1.0, True),
+            ({"const": 1}, True, False),
+            ({"const": True}, 1, False),
+            ({"const": [1, {"a": 0}]}, [1.0, {"a": 0.0}], True),
+            ({"const": [1, {"a": 0}]}, [1, {"a": False}], False),
+            ({"enum": [1, "a"]}, 1.0, True),
+            ({"enum": [1, "a"]}, True, False),
+            ({"enum": [False]}, 0, False),
+            ({"enum": ["a", "b"]}, "b", True),
+            ({"enum": ["a", "b"]}, ["a"], False),
+            ({"uniqueItems": True}, [1, True], True),
+            ({"uniqueItems": True}, [0, False], True),
+            ({"uniqueItems": True}, [1, 1.0], False),
+            ({"uniqueItems": True}, [{"a": 1}, {"a": 1.0}], False),
+            ({"uniqueItems": True}, ["a", "b", "a"], False),
+            ({"uniqueItems": True}, "aa", True),
+            ({"minimum": 1, "maximum": 2}, True, True),
+            ({"minimum": 1, "maximum": 2}, False, True),
+            ({"minimum": 1, "maximum": 2}, "0", True),
+            ({"minimum": 1, "maximum": 2}, None, True),
+            ({"minimum": 1, "maximum": 2}, 0, False),
+            ({"minimum": 1, "maximum": 2}, 2.5, False),
+            ({"minimum": 1, "maximum": 2}, 2.0, True),
+            ({"pattern": "b"}, "abc", True),
+            ({"pattern": "^b"}, "abc", False),
+            ({"pattern": "^b"}, 7, True),
+            ({"items": {"type": "string"}}, ["a", "b"], True),
+            ({"items": {"type": "string"}}, [1, "a"], False),
+            ({"items": {"type": "string"}}, ["a", "b", 3], False),
+            ({"items": {"type": "string"}}, {"a": 1}, True),
+            ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, 1, False),
+            ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, -1, True),
+            ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, 0.5, True),
+            ({"if": {"minimum": 0}, "then": {"type": "integer"}}, 0.5, False),
+            ({"if": {"minimum": 0}, "then": {"type": "integer"}}, -0.5, True),
+            (UNEVALUATED, {"a": 1, "b": 2}, True),
+            (UNEVALUATED, {"a": 1, "c": 2}, False),
+            (UNEVALUATED, {"b": 2, "c": 2}, False),
+            (UNEVALUATED, {"a": "x"}, False),
+            (UNEVALUATED, [], True),
+            ({"unevaluatedProperties": False}, {"a": 1}, False),
+        ],
+    )
+    def test_keywords_decide_as_jsonschema_does(self, schema, instance, valid):
+        assert jsonschema.Draft202012Validator(schema).is_valid(instance) == valid
+        assert compile_schema(schema)(instance) == valid
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: s["$defs"]["poly"].update(format="regex"),
+            lambda s: s["$defs"]["group"].update(patternProperties={"^x": {}}),
+            lambda s: s["$defs"]["rational_vector"].update(prefixItems=[{"type": "integer"}]),
+            lambda s: s["$defs"]["names"]["items"].update({"$ref": "#/properties/kind"}),
+            lambda s: s["$defs"]["names"]["items"].update({"$ref": "job-v1.schema.json"}),
+            lambda s: s["$defs"]["names"]["items"].update({"$ref": "#/$defs/missing"}),
+            lambda s: s["$defs"]["names"]["items"].update({"$ref": "#/$defs/names"}),
+            lambda s: s.update({"$schema": "http://json-schema.org/draft-07/schema#"}),
+        ],
+        ids=[
+            "format",
+            "patternProperties",
+            "prefixItems",
+            "ref-outside-defs",
+            "ref-to-a-file",
+            "ref-to-no-def",
+            "ref-cycle",
+            "draft-07",
+        ],
+    )
+    def test_compiler_raises_on_what_it_does_not_know(self, edit):
+        schema = copy.deepcopy(SCHEMA)
+        edit(schema)
+        compile_schema(SCHEMA)
+        with pytest.raises(ValueError, match="unsupported|cycle"):
+            compile_schema(schema)
+
+
+class TestJsonschemaDecidesRejections:
+    """With the compiled check rejecting everything, `validate` is plain
+    jsonschema: a false rejection costs time and changes nothing else."""
+
+    @pytest.fixture
+    def validator(self, monkeypatch):
+        validator = cli._job_validator()
+        monkeypatch.setattr(validator, "accepts", lambda document: False)
+        return validator
+
+    def test_valid_documents_are_accepted(self, validator):
+        for document in VALID:
+            validator.validate(document)
+
+    @pytest.mark.parametrize("index", range(len(VALID)))
+    def test_mutants_raise_the_same_first_error(self, validator, index):
+        for mutant in mutants(VALID[index], random.Random(index)):
+            assert first_error(validator, mutant) == first_error(REFERENCE, mutant), mutant
+
+
+def benchmark_documents():
+    """(workload, seed, job id, document) of the benchmark's mixes for seeds
+    1 to 3, generated by `benchmark/workloads.py`."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "stabkit_bench_workloads", root / "benchmark" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            for item in workloads.generate(workload, seed, root / "src").jobs:
+                yield workload, seed, item.job_id, item.document
+
+
+def test_the_compiled_check_alone_accepts_every_known_valid_document():
+    """A false rejection would only slow a job down, so no other test sees it."""
+    accepts = cli._job_validator().accepts
+    assert [d for d in corpus_jobs() + EXTRA_VALID if not accepts(d)] == []
+    seen = set()
+    rejected = []
+    for workload, seed, job_id, document in benchmark_documents():
+        seen.add(workload)
+        if not accepts(document):
+            rejected.append((workload, seed, job_id))
+    assert rejected == []
+    assert seen == {"pairs-levels", "elimination", "arcs-toric"}
+
+
+def test_valid_documents_never_reach_jsonschema(monkeypatch):
+    validator = cli._job_validator()
+    monkeypatch.setattr(validator, "explainer", None)
+    for document in VALID:
+        validator.validate(document)
 
 
 def run_stderr(tmp_path, capsys, document):
@@ -224,7 +443,7 @@ def test_run_stderr_lines(tmp_path, capsys, document, line):
 
 
 class TestSchemaShape:
-    """What the per-kind split relies on in the shipped schema."""
+    """What the handlers and the compiled check rely on in the shipped schema."""
 
     def test_kinds_branches_and_handlers_agree(self):
         branch_kinds = [b["if"]["properties"]["kind"]["const"] for b in SCHEMA["allOf"]]
