@@ -13,12 +13,24 @@ queue.  Reduction keeps its working terms in a heap of negated keys
 (Monagan & Pearce, J. Symb. Comp. 46, 2011) and skips the reducer's lead
 term, which cancels exactly.  A short exponent vector mask rules out most
 divisibility tests before exponents are compared.
+
+The engine is fraction-free.  A lead entry holds the primitive integer
+multiple of its polynomial, leading coefficient positive; S-polynomials
+cross-multiply by the two leading coefficients, and reduction is
+pseudo-reduction: where a reducer's leading coefficient does not divide the
+current one, the working terms are scaled up first.  Every remainder is a
+positive multiple of the rational one, and the criteria read only
+monomials, so the pairs, the budget spent and the reduced basis are those
+of rational arithmetic.  Rationals appear only where a result is returned:
+the reduced basis is made monic, and `reduce_poly` divides its scaled
+remainder back out.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, itemgetter
 from typing import Iterable, Sequence
 
@@ -32,6 +44,7 @@ from .multipoly import (
     mono_div,
     mono_divides,
     mono_lcm,
+    primitive,
 )
 
 DEFAULT_BUDGET = 100_000
@@ -113,17 +126,25 @@ def reduce_poly(f: MultiPoly, basis: Sequence[MultiPoly], order: MonomialOrder) 
     """Full normal form of f modulo basis.
 
     Reducers are tried smallest leading monomial first (ties in list order),
-    which makes the result deterministic for any input list.
+    which makes the result deterministic for any input list.  f enters with
+    its denominators cleared, and they leave again with the scale of the
+    pseudo-reduction.
     """
     for g in basis:
         f._check_ring(g)
     reducers = sorted((_lead(g, order) for g in basis if not g.is_zero()), key=itemgetter(0))
-    return MultiPoly._trusted(f.variables, _normal_form(dict(f.terms), reducers, order))
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    work = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+    rem, scale = _normal_form(work, reducers, order)
+    den *= scale
+    return MultiPoly._trusted(f.variables, {m: _quo(c, den) for m, c in rem.items()})
 
 
 # A lead entry (key, lm, lc, tail, mask) holds what the engine reads of a
-# nonzero polynomial: the order key of its leading monomial lm, the leading
-# coefficient lc, the other terms, and the divisibility mask of lm.
+# nonzero polynomial, scaled to its primitive integer multiple with a
+# positive leading coefficient: the order key of its leading monomial lm,
+# the leading coefficient lc (an int > 0), the other terms (int
+# coefficients), and the divisibility mask of lm.
 
 
 def _divmask(m) -> int:
@@ -138,25 +159,33 @@ def _divmask(m) -> int:
 
 def _lead(g: MultiPoly, order: MonomialOrder) -> tuple:
     lm, lc = g.lead(order)
-    tail = dict(g.terms)
-    del tail[lm]
-    return order.key(lm), lm, lc, tail, _divmask(lm)
+    ints = primitive(g.terms.values())
+    if lc < 0:
+        ints = [-c for c in ints]
+    tail = dict(zip(g.terms, ints))
+    return order.key(lm), lm, tail.pop(lm), tail, _divmask(lm)
 
 
-def _normal_form(work: dict, reducers: Sequence[tuple], order: MonomialOrder) -> dict:
-    """Remainder terms, largest first, of the term dict `work` (consumed)
-    modulo lead entries sorted smallest lead first.
+def _normal_form(work: dict, reducers: Sequence[tuple], order: MonomialOrder) -> tuple[dict, int]:
+    """Pseudo-remainder of the int term dict `work` (consumed) modulo lead
+    entries sorted smallest lead first: (remainder terms, largest first,
+    scale), where the remainder is `scale` (an int > 0) times the rational
+    normal form.
 
     The working monomials sit in a heap of negated order keys, so each one is
     keyed once, when it enters `work`.  A reduction step adds a term multiple
     of the reducer's tail only: its lead term cancels the current term
-    exactly.  A monomial that cancels and comes back has a second heap entry;
-    whichever is popped later finds it gone from `work` and is skipped.
+    exactly.  Where the reducer's leading coefficient gc does not divide the
+    current coefficient c, `work` and the remainder so far are first
+    multiplied by gc / gcd(c, gc), so every coefficient stays an int.  A
+    monomial that cancels and comes back has a second heap entry; whichever
+    is popped later finds it gone from `work` and is skipped.
     """
     hkey = order.heap_key
     heap = [(hkey(m), m) for m in work]
     heapify(heap)
     rem = {}
+    scale = 1
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m, None)
@@ -165,34 +194,44 @@ def _normal_form(work: dict, reducers: Sequence[tuple], order: MonomialOrder) ->
         outside = ~_divmask(m)
         for _, gm, gc, tail, gmask in reducers:
             if not gmask & outside and mono_divides(gm, m):
+                if c % gc:
+                    k = gc // gcd(c, gc)
+                    scale *= k
+                    c *= k
+                    for n in work:
+                        work[n] *= k
+                    for n in rem:
+                        rem[n] *= k
                 q = mono_div(m, gm)
-                f = _quo(-c, gc)
+                f = -(c // gc)
                 for t, tc in tail.items():
                     n = tuple(map(add, q, t))
                     s = work.get(n)
                     if s is None:
-                        s = f * tc
+                        work[n] = f * tc
                         heappush(heap, (hkey(n), n))
                     else:
                         s += f * tc
-                        if not s:
+                        if s:
+                            work[n] = s
+                        else:
                             del work[n]
-                            continue
-                    work[n] = s if type(s) is int or s.denominator != 1 else s.numerator
                 break
         else:
             rem[m] = c
-    return rem
+    return rem, scale
 
 
 def _spoly(a: tuple, b: tuple) -> dict:
-    """Terms of the S-polynomial of two lead entries; the scaled lead terms
-    cancel exactly, so only the tails are multiplied out."""
+    """Terms of lcm(ac, bc) times the S-polynomial of two lead entries with
+    leading coefficients ac and bc: int coefficients, no division.  The
+    scaled lead terms cancel exactly, so only the tails are multiplied out."""
     _, am, ac, atail, _ = a
     _, bm, bc, btail, _ = b
     l = mono_lcm(am, bm)
-    out = _mul_into({}, {mono_div(l, am): _quo(1, ac)}, atail, _mul_mono)
-    return _mul_into(out, {mono_div(l, bm): _quo(-1, bc)}, btail, _mul_mono)
+    g = gcd(ac, bc)
+    out = _mul_into({}, {mono_div(l, am): bc // g}, atail, _mul_mono)
+    return _mul_into(out, {mono_div(l, bm): -(ac // g)}, btail, _mul_mono)
 
 
 def _update_pairs(leads: list, P: list, order: MonomialOrder) -> list:
@@ -263,7 +302,7 @@ def buchberger(
         # normal strategy: smallest lcm first
         _, i, j, _, _ = heappop(P)
         budget.spend()
-        rem = _normal_form(_spoly(leads[i], leads[j]), reducers, order)
+        rem, _ = _normal_form(_spoly(leads[i], leads[j]), reducers, order)
         if rem:
             P = admit(_lead(MultiPoly._trusted(gens[0].variables, rem), order), P)
     return [
@@ -287,12 +326,15 @@ def _interreduce(G: Sequence[tuple], order: MonomialOrder) -> list[dict]:
     """Monic terms of each entry with its tail reduced modulo the others.
 
     In a minimal basis no other lead divides a lead, so each lead survives
-    and the output keeps the order of G, smallest lead first.
+    and the output keeps the order of G, smallest lead first.  The tail's
+    pseudo-remainder is divided by lc times its scale, the one division a
+    basis needs.
     """
     out = []
     for i, (_, lm, lc, tail, _) in enumerate(G):
         others = [h for j, h in enumerate(G) if j != i]
-        rem = _normal_form(dict(tail), others, order)
+        rem, scale = _normal_form(dict(tail), others, order)
+        lc *= scale
         terms = {lm: 1}
         for m, c in rem.items():
             terms[m] = _quo(c, lc)

@@ -14,7 +14,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .multipoly import _add_into, _exact, _mul_into, _pow_terms, _scale_terms
+from .multipoly import _add_into, _exact, _exponent, _mul_into, _pow_terms, _scale_terms
 
 
 class LaurentPoly:
@@ -26,9 +26,10 @@ class LaurentPoly:
         clean: dict[int, int | Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
+                exp = _exponent(exp)
                 c = _exact(coeff)
                 if c:
-                    clean[int(exp)] = c
+                    clean[exp] = c
         self.terms = clean
 
     @classmethod

@@ -10,8 +10,9 @@ one-variable module.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from operator import add, le, neg, sub
+from operator import add, index, le, neg, sub
 from typing import Callable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -90,6 +91,25 @@ def _exact(c):
             raise TypeError(f"float coefficient {c!r}; pass an int or a Fraction")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def primitive(values) -> list[int]:
+    """The primitive integer vector that is a positive multiple of the
+    rationals `values` (a list or a dict view): denominators cleared,
+    content divided out."""
+    den = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _exponent(e) -> int:
+    """The exponent e as an int.  A float or Fraction is refused, not
+    truncated: 2.5 would silently become 2 and could merge two terms."""
+    try:
+        return index(e)
+    except TypeError:
+        raise TypeError(f"exponent {e!r} is not an int") from None
 
 
 def _quo(a, b):
@@ -173,7 +193,7 @@ class MultiPoly:
         clean: dict[Monomial, int | Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                mono = tuple(int(e) for e in mono)
+                mono = tuple(map(_exponent, mono))
                 if len(mono) != n:
                     raise ValueError("exponent tuple does not match variable count")
                 if any(e < 0 for e in mono):

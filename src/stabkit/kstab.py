@@ -21,6 +21,7 @@ from typing import Sequence
 
 from . import linprog
 from .algebra.ideals import Budget
+from .algebra.multipoly import primitive
 from .geometry import (
     Point,
     cell_measure,
@@ -447,7 +448,7 @@ def toric_uniform_search(
 
     fails = best < epsilon
     if fails:
-        best_x = linprog._primitive(best_x)
+        best_x = primitive(best_x)
     alpha = tuple(best_x[:dim])
     beta = tuple(best_x[dim:])
     cert = _family_function(P, creases, alpha, beta)

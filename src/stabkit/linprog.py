@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra.ideals import Budget
+from .algebra.multipoly import primitive
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -88,7 +89,7 @@ def solve_lp(
             out[n_struct + k] = sign
         basis.append(n_struct + k if slack_start else width + k)
         out[basis[-1]] = 1
-        rows.append(_primitive(out))
+        rows.append(primitive(out))
 
     tab = _Tableau(rows, basis, budget)
     if not slack_start and tab.phase1(width) == INFEASIBLE:
@@ -96,7 +97,7 @@ def solve_lp(
     cost = [0] * width
     for j, (i, s) in enumerate(cols):
         cost[j] = c[i] if s > 0 else -c[i]
-    if tab.phase2(_primitive(cost)) == UNBOUNDED:
+    if tab.phase2(primitive(cost)) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None, tab.pivots)
 
     x = [Fraction(0)] * n
@@ -111,14 +112,6 @@ def solve_lp(
 def _rational(v) -> int | Fraction:
     """The exact value of a coefficient, kept as an int where it is one."""
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
-def _primitive(values: list) -> list[int]:
-    """The primitive integer row that is a positive multiple of `values`."""
-    den = math.lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (den // v.denominator) for v in values]
-    g = math.gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
 
 
 def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:

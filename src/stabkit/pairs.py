@@ -22,6 +22,7 @@ from typing import Sequence
 
 from . import linprog
 from .algebra.laurent import LaurentPoly
+from .algebra.multipoly import primitive
 from .algebra.parser import format_rational
 from .groups import (
     Arc,
@@ -144,7 +145,7 @@ def separating_exponents(
     res = linprog.solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=[False] * n)
     if res.status != linprog.OPTIMAL or res.objective >= 0:
         raise ValueError("no separating exponent vector: point lies in the hull")
-    a = linprog._primitive(res.x[:k])
+    a = primitive(res.x[:k])
     margin = min(sum(ai * qi for ai, qi in zip(a, q)) for q in support) - sum(
         ai * pi for ai, pi in zip(a, point)
     )
@@ -311,7 +312,7 @@ def stability_interval(pair: Pair) -> tuple[Fraction | float, Fraction | float] 
             if lo > hi:
                 return None
     for end, x in witness.values():
-        arc = Arc.one_ps(linprog._primitive(x))
+        arc = Arc.one_ps(primitive(x))
         ord_v = image_order(pair.rep_v, arc, pair.v)
         mu_a = mu_from_order(ord_v, pair.rep_w, pair.w, arc)
         if mu_a != end * norm_from_order(ord_v, d, arc):

@@ -2,12 +2,15 @@
 
 Every term dict of MultiPoly and LaurentPoly holds an int where a
 coefficient is integral and a Fraction only where it is not; floats are
-refused where terms enter.  The kernel is checked against a test-local
-all-Fraction copy on mixed int/Fraction inputs, and the whole corpus is run
-with every wrapped arithmetic result inspected.
+refused where terms enter, as is a float or Fraction exponent.  The kernel
+is checked against a test-local all-Fraction copy on mixed int/Fraction
+inputs: the Groebner engine's int S-polynomials and pseudo-remainders are
+positive multiples of the all-Fraction ones.  The whole corpus is run with
+every wrapped arithmetic result inspected.
 """
 
 import json
+import math
 import operator
 from fractions import Fraction
 from importlib import resources
@@ -177,9 +180,12 @@ class TestAgainstFractionKernel:
     )
     @settings(max_examples=150, deadline=None)
     def test_spoly(self, f, g, order):
-        got = _spoly(_lead(f, order), _lead(g, order))
-        assert got == frac_spoly(f, g, order)
-        assert_kernel_terms(got)
+        a, b = _lead(f, order), _lead(g, order)
+        got = _spoly(a, b)
+        # lcm(a's lc, b's lc) times the S-polynomial, and all ints
+        k = math.lcm(a[2], b[2])
+        assert got == {m: k * c for m, c in frac_spoly(f, g, order).items()}
+        assert all(type(c) is int and c for c in got.values())
 
     @given(multi_polys, st.lists(multi_polys, min_size=1, max_size=3), st.sampled_from(ORDERS))
     @settings(max_examples=150, deadline=None)
@@ -187,9 +193,12 @@ class TestAgainstFractionKernel:
         reducers = sorted(
             (_lead(g, order) for g in basis if not g.is_zero()), key=operator.itemgetter(0)
         )
-        got = _normal_form(dict(f.terms), reducers, order)
-        assert got == frac_normal_form(f, basis, order)
-        assert_kernel_terms(got)
+        # the reducer takes int terms: f with its denominators cleared
+        f = f.scale(math.lcm(*(Fraction(c).denominator for c in f.terms.values())))
+        got, scale = _normal_form(dict(f.terms), reducers, order)
+        assert type(scale) is int and scale > 0
+        assert got == {m: scale * c for m, c in frac_normal_form(f, basis, order).items()}
+        assert all(type(c) is int and c for c in got.values())
 
 
 SL2 = GroupPresentation.special_linear(2)
@@ -265,6 +274,20 @@ class TestEntryPoints:
         assert_kernel_terms(parse_multi("2/2*x - 3/2*y + 4 - 1/2 + 1/2*x", RING).terms)
         assert parse_laurent("4/2*t^-1 + 1/3 + 2/3").terms == {-1: 2, 0: 1}
         assert_kernel_terms(parse_laurent("4/2*t^-1 + 1/3 + 2/3").terms)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, Fraction(5, 2), Fraction(2)])
+    def test_float_and_fraction_exponents_are_refused(self, bad):
+        # refused, not truncated: 2.5 must not become 2 and merge with x^2
+        with pytest.raises(TypeError, match="is not an int"):
+            MultiPoly(["x"], {(bad,): 1})
+        with pytest.raises(TypeError):
+            MultiPoly(["x"], {(bad,): 1, (2,): 1})
+        with pytest.raises(TypeError):
+            MultiPoly(RING, {(0, bad, 1): 1})
+        with pytest.raises(TypeError):
+            LaurentPoly({bad: 1, 2: 1})
+        with pytest.raises(TypeError):
+            LaurentPoly({bad: 0})
 
     @pytest.mark.parametrize("bad", [0.5, 1.0, 0.0])
     def test_floats_are_refused(self, bad):

@@ -17,7 +17,7 @@ from stabkit.groups import (
     mu_weight,
     sym_action,
 )
-from stabkit.linprog import _primitive
+from stabkit.algebra.multipoly import primitive
 from stabkit.pairs import (
     Pair,
     associated_pair,
@@ -119,11 +119,14 @@ class TestPairValidation:
 
 class TestWitnessHelpers:
     def test_integerize(self):
-        # separating exponents are scaled to primitive integers by linprog
-        assert _primitive([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
-        assert _primitive([Fraction(2), Fraction(4)]) == [1, 2]
-        assert _primitive([Fraction(0), Fraction(0)]) == [0, 0]
-        assert _primitive([Fraction(-1, 2)]) == [-1]
+        # separating exponents are scaled to primitive integers by the
+        # kernel's one scaler
+        assert primitive([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
+        assert primitive([Fraction(2), Fraction(4)]) == [1, 2]
+        assert primitive([Fraction(0), Fraction(0)]) == [0, 0]
+        assert primitive([Fraction(-1, 2)]) == [-1]
+        assert primitive([-6, Fraction(9, 2), 0]) == [-4, 3, 0]
+        assert primitive({"a": 4, "b": Fraction(-2, 3)}.values()) == [6, -1]
 
     def test_barycentric_witness(self):
         lam = point_in_hull((1, 1), [(0, 0), (2, 0), (0, 2)])

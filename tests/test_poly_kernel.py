@@ -2,6 +2,7 @@
 Groebner core, checked against plain copies of the loops they replaced."""
 
 import hashlib
+import math
 import operator
 from fractions import Fraction
 
@@ -230,8 +231,14 @@ class TestReduction:
         lcm = tuple(max(a, b) for a, b in zip(fm, gm))
         left = f * MultiPoly(RING, {mono_div(lcm, fm): Fraction(1) / fc})
         right = g * MultiPoly(RING, {mono_div(lcm, gm): Fraction(1) / gc})
-        s = _spoly(_lead(f, order), _lead(g, order))
-        assert_clean_multi(MultiPoly._trusted(RING, s), (left - right).terms)
+        a, b = _lead(f, order), _lead(g, order)
+        # the integer lead entries hold positive leading coefficients, and
+        # the S-polynomial comes out times their lcm
+        assert a[2] > 0 and b[2] > 0
+        s = _spoly(a, b)
+        expected = (left - right).scale(math.lcm(a[2], b[2]))
+        assert_clean_multi(MultiPoly._trusted(RING, s), expected.terms)
+        assert all(type(c) is int for c in s.values())
 
     def test_ring_mismatch_rejected(self):
         f = MultiPoly.var(RING, "x")
@@ -304,7 +311,11 @@ def cyclic(n):
 # size, sha256 prefix of the basis one format_multi line per element),
 # recorded with the engine as it was before keys were computed once.
 # The variable orders are those of the benchmark's elimination mix.  The
-# chain criterion B drops pairs on cyclic-5 only.
+# chain criterion B drops pairs on cyclic-5 only.  The rows from
+# "katsura4-rescaled" on were recorded with the all-Fraction engine, before
+# it became fraction-free; a rescaled system reaches the same reduced basis
+# with the same pairs as its unscaled row, through non-unit leading
+# coefficients.
 GROEBNER_GOLDENS = [
     ("cyclic4", (0, 1, 2, 3), 11, 7, "b81db0e183fc83d4"),
     ("cyclic4", (1, 2, 3, 0), 11, 7, "15164531af5713f7"),
@@ -317,21 +328,41 @@ GROEBNER_GOLDENS = [
     ("katsura4", (0, 1, 2, 3), 10, 7, "b26234b1067959c2"),
     ("katsura4", (3, 2, 1, 0), 11, 7, "2ad42c42a6ab58c5"),
     ("cyclic5", (0, 1, 2, 3, 4), 107, 20, "e8c0592bbd513ca3"),
+    ("katsura4-rescaled", (0, 1, 2, 3), 10, 7, "b26234b1067959c2"),
+    ("katsura4-rescaled", (3, 2, 1, 0), 11, 7, "2ad42c42a6ab58c5"),
+    ("cyclic5-rescaled", (0, 1, 2, 3, 4), 107, 20, "e8c0592bbd513ca3"),
+    ("katsura4-lex", (0, 1, 2, 3), 52, 4, "d6301ce891f2b50e"),
+    ("katsura4-rescaled-block2", (0, 1, 2, 3), 32, 6, "38842abc50d0c1cf"),
 ]
-SYSTEMS = {
-    "cyclic4": cyclic(4),
-    "cyclic5": cyclic(5),
-    "katsura3": katsura(3),
-    "katsura4": katsura(4),
+# Generator k of a rescaled system is multiplied by SCALES[k mod 5].
+SCALES = [Fraction(3, 2), Fraction(-2, 3), Fraction(5, 3), Fraction(-1, 2), Fraction(2, 3)]
+SYSTEMS = {  # name -> ((names, generators), monomial order, rescaled)
+    "cyclic4": (cyclic(4), GREVLEX, False),
+    "cyclic5": (cyclic(5), GREVLEX, False),
+    "katsura3": (katsura(3), GREVLEX, False),
+    "katsura4": (katsura(4), GREVLEX, False),
+    "katsura4-rescaled": (katsura(4), GREVLEX, True),
+    "cyclic5-rescaled": (cyclic(5), GREVLEX, True),
+    "katsura4-lex": (katsura(4), LEX, False),
+    # eliminates u0 and u1
+    "katsura4-rescaled-block2": (katsura(4), MonomialOrder("block", split=2), True),
 }
+
+
+def golden_generators(name, perm):
+    (names, gens), order, rescale = SYSTEMS[name]
+    ring = [names[k] for k in perm]
+    polys = [parse_multi(g, ring) for g in gens]
+    if rescale:
+        polys = [g.scale(SCALES[k % len(SCALES)]) for k, g in enumerate(polys)]
+    return polys, order
 
 
 @pytest.mark.parametrize("name, perm, used, size, digest", GROEBNER_GOLDENS)
 def test_buchberger_goldens(name, perm, used, size, digest):
-    names, gens = SYSTEMS[name]
-    ring = [names[k] for k in perm]
+    gens, order = golden_generators(name, perm)
     budget = Budget()
-    basis = buchberger([parse_multi(g, ring) for g in gens], GREVLEX, budget)
-    text = "\n".join(format_multi(g) for g in basis)
+    basis = buchberger(gens, order, budget)
+    text = "\n".join(format_multi(g, order) for g in basis)
     assert (budget.used, len(basis)) == (used, size)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
