@@ -3,9 +3,9 @@
 `compile_schema(schema)` turns a draft 2020-12 schema into one function
 `instance -> bool`.  It gives no message and no path: a caller that needs to
 explain a rejection asks jsonschema.  It knows the keywords the shipped job
-schema uses and raises `ValueError` on any other keyword, on a `$ref` that is
-not `#/$defs/<name>` and on a reference cycle, so an edit of the schema cannot
-weaken the check unnoticed.
+and corpus schemas use and raises `ValueError` on any other keyword, on a
+`$ref` that is not `#/$defs/<name>` and on a reference cycle, so an edit of a
+schema cannot weaken the check unnoticed.
 
 Each keyword is decided as jsonschema decides it: `integer` takes `2.0` but
 not `True`; `const`, `enum` and `uniqueItems` tell booleans from numbers and

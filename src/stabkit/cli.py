@@ -2,15 +2,17 @@
 
 One document describes one job; `stabkit run job.json` validates it against
 the shipped schema, dispatches to the library, and emits a report whose
-numbers are exact rational strings.  The schema is compiled once per process
-into plain checks that accept a valid document without jsonschema; only a
-document they reject goes to jsonschema, whose first error is the message and
-whose verdict is final.  A float literal with an integral value, such as
-`2.0`, is read as the integer the schema takes it for.  `stabkit corpus`
-executes the bundled acceptance corpus and prints one pass/fail line per
-criterion.
+numbers are exact rational strings.  Job and corpus files are read as UTF-8
+whatever the locale.  Each shipped schema is compiled into plain checks that
+accept a valid document without jsonschema; jsonschema is imported only when
+they reject a document, and its first error is the message and its verdict
+final.  A float literal with an integral value, such as `2.0`, is read as the
+integer the schema takes it for.  `stabkit corpus` executes the bundled
+acceptance corpus and prints one pass/fail line per criterion.
 
-Exit codes: 0 success, 2 input or validation error, 3 budget exhaustion.
+Exit codes: 0 success, 2 input or validation error (an unreadable, undecodable
+or invalid file, or an `--out` path that cannot be written), 3 budget
+exhaustion.
 Reports are byte-identical for identical (document, seed); the optional
 timing block is off by default for that reason.
 """
@@ -26,8 +28,6 @@ import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-
-import jsonschema
 
 from . import __version__
 from ._schemacheck import compile_schema
@@ -97,30 +97,52 @@ EXIT_BUDGET = 3
 
 
 def _load_schema(name: str) -> dict:
-    text = resources.files("stabkit").joinpath("schemas", name).read_text()
+    text = resources.files("stabkit").joinpath("schemas", name).read_text(encoding="utf-8")
     return json.loads(text)
 
 
-class _JobValidator:
-    """The job schema twice: compiled to plain checks (`accepts`), which
-    decide validity fast, and as jsonschema's validator, which runs only on a
-    rejection and explains it."""
+class _SchemaValidator:
+    """A shipped schema twice: compiled to plain checks (`accepts`), which
+    decide validity, and as jsonschema's validator (`explainer`), which
+    explains a rejection.  The explainer, and with it jsonschema, is imported
+    and built on the first document `accepts` rejects, so a process that only
+    sees valid documents never imports jsonschema."""
 
     def __init__(self, schema: dict):
+        self.schema = schema
         self.accepts = compile_schema(schema)
-        self.explainer = jsonschema.Draft202012Validator(schema)
+
+    @functools.cached_property
+    def explainer(self):
+        import jsonschema
+
+        return jsonschema.Draft202012Validator(self.schema)
 
     def validate(self, document):
-        """Return when `document` is a valid job, else raise jsonschema's
-        first error.  A document the compiled check rejects and jsonschema
-        accepts is valid: a false rejection costs time, never a verdict."""
+        """Return when `document` is valid, else raise jsonschema's first
+        `ValidationError`.  A document the compiled check rejects and
+        jsonschema accepts is valid: a false rejection costs time, never a
+        verdict."""
         if not self.accepts(document):
             self.explainer.validate(document)
 
 
+class _NeverRaised(Exception):
+    """Nothing raises this; see `_rejection`."""
+
+
+def _rejection() -> type[Exception]:
+    """The class `_SchemaValidator.validate` raises, for an `except` clause:
+    jsonschema's `ValidationError`, or, while jsonschema has not been
+    imported and so no document can have been rejected, a class nothing
+    raises."""
+    jsonschema = sys.modules.get("jsonschema")
+    return _NeverRaised if jsonschema is None else jsonschema.ValidationError
+
+
 @functools.cache
-def _job_validator() -> _JobValidator:
-    return _JobValidator(_load_schema("job-v1.schema.json"))
+def _job_validator() -> _SchemaValidator:
+    return _SchemaValidator(_load_schema("job-v1.schema.json"))
 
 
 def _integral_float(literal: str):
@@ -132,7 +154,7 @@ def _integral_float(literal: str):
 
 
 def _read_json(path: Path):
-    return json.loads(path.read_text(), parse_float=_integral_float)
+    return json.loads(path.read_text(encoding="utf-8"), parse_float=_integral_float)
 
 
 def _rat(value) -> Fraction:
@@ -562,11 +584,15 @@ def _render(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _write(out: str, text: str, what: str) -> bool:
+    """Write `text` to the file `out`; on failure print a one-line message
+    naming `what` and return False."""
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_run(args) -> int:
@@ -574,6 +600,9 @@ def _cmd_run(args) -> int:
         document = _read_json(Path(args.job))
     except OSError as exc:
         print(f"cannot read job document: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except UnicodeDecodeError as exc:
+        print(f"job document is not UTF-8: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except json.JSONDecodeError as exc:
         print(f"job document is not valid JSON: {exc}", file=sys.stderr)
@@ -585,7 +614,7 @@ def _cmd_run(args) -> int:
             seed_override=args.seed,
             timing=args.timing,
         )
-    except jsonschema.ValidationError as exc:
+    except _rejection() as exc:
         print(f"invalid job document: {exc.message} (at {exc.json_path})", file=sys.stderr)
         return EXIT_INVALID
     except BudgetError as exc:
@@ -594,7 +623,10 @@ def _cmd_run(args) -> int:
     except (ParseError, ValueError, TypeError, KeyError) as exc:
         print(f"invalid job input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _emit(_render(report), args.out)
+    if args.out is None:
+        sys.stdout.write(_render(report))
+    elif not _write(args.out, _render(report), "report"):
+        return EXIT_INVALID
     return EXIT_OK
 
 
@@ -628,7 +660,7 @@ def _mismatch(expected, actual, path: str = "") -> str | None:
 
 def _load_corpus(directory: Path) -> list[dict]:
     files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
-    validator = jsonschema.Draft202012Validator(_load_schema("corpus-v1.schema.json"))
+    validator = _SchemaValidator(_load_schema("corpus-v1.schema.json"))
     entries: list[dict] = []
     for path in files:
         batch = _read_json(path)
@@ -660,7 +692,7 @@ def _cmd_corpus(args) -> int:
         return EXIT_INVALID
     try:
         entries = _load_corpus(directory)
-    except (json.JSONDecodeError, jsonschema.ValidationError, ValueError) as exc:
+    except (OSError, ValueError, _rejection()) as exc:
         print(f"invalid corpus: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if not entries:
@@ -696,7 +728,9 @@ def _cmd_corpus(args) -> int:
                 for entry, (passed, detail) in zip(entries, outcomes)
             ],
         }
-        Path(args.out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        if not _write(args.out, text, "summary"):
+            return EXIT_INVALID
     return EXIT_OK if all_pass else 1
 
 

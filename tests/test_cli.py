@@ -272,6 +272,26 @@ class TestRun:
         assert main(["run", str(broken)]) == EXIT_INVALID
         capsys.readouterr()
 
+    def test_a_document_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_bytes(json.dumps(CHECK_JOB).encode("utf-16"))  # starts with ff fe
+        code = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_INVALID, "")
+        assert captured.err == (
+            "job document is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        )
+
+    def test_out_into_a_missing_directory(self, tmp_path, capsys):
+        path = write_job(tmp_path, CHECK_JOB)
+        out = tmp_path / "nodir" / "r.json"
+        code = main(["run", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_INVALID, "")
+        assert captured.err == f"cannot write report: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
+
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main([])
@@ -609,6 +629,30 @@ class TestCorpus:
         code = main(["corpus", "--corpus", str(tmp_path / "nowhere")])
         capsys.readouterr()
         assert code == EXIT_INVALID
+
+    def test_summary_into_a_missing_directory(self, tmp_path, capsys):
+        entry = {"id": "t-pass", "criterion": "A1", "job": CHECK_JOB, "expect": {}}
+        d = self.corpus_dir(tmp_path, [entry])
+        out = tmp_path / "nodir" / "s.json"
+        code = main(["corpus", "--corpus", str(d), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.out == "[t-pass] ok\nA1 PASS (1/1)\n"
+        assert captured.err == f"cannot write summary: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_unreadable_corpus_files_rejected(self, tmp_path, capsys):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        (d / "a.json").write_bytes(b"\xff\xfe[]")
+        assert main(["corpus", "--corpus", str(d)]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "invalid corpus: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+        (d / "a.json").unlink()
+        (d / "a.json").mkdir()
+        assert main(["corpus", "--corpus", str(d)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("invalid corpus: [Errno 21] Is a directory")
 
     def test_malformed_corpus_rejected(self, tmp_path, capsys):
         d = tmp_path / "corpus"

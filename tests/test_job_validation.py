@@ -1,11 +1,14 @@
-"""Job validation: a compiled check that accepts, jsonschema that explains.
+"""Job and corpus validation: a compiled check that accepts, jsonschema that
+explains.
 
 `cli._job_validator()` compiles the shipped job schema into plain checks
 (`accepts`) and falls back to a plain `Draft202012Validator` of the shipped
-file only when they reject.  That validator, built here as `REFERENCE`, is the
-reference: on every mutant of the corpus jobs and of a set of valid documents
-the compiled check must accept exactly what it accepts, and `validate` must
-raise its first error message and `json_path`.
+file, built on first use, only when they reject.  That validator, built here
+as `REFERENCE`, is the reference: on every mutant of the corpus jobs and of a
+set of valid documents the compiled check must accept exactly what it
+accepts, and `validate` must raise its first error message and `json_path`.
+The corpus schema is checked the same way against `CORPUS_REFERENCE`, on
+mutants of every bundled corpus file.
 """
 
 import copy
@@ -478,6 +481,97 @@ class TestSchemaShape:
 
         for name in defs:
             visit(name, ())
+
+
+CORPUS_SCHEMA = json.loads(
+    resources.files("stabkit").joinpath("schemas", "corpus-v1.schema.json").read_text()
+)
+CORPUS_REFERENCE = jsonschema.Draft202012Validator(CORPUS_SCHEMA)
+CORPUS_FILES = sorted(
+    p.name for p in resources.files("stabkit").joinpath("corpus").iterdir() if p.name.endswith(".json")
+)
+BAD_IDS = ["", "A1", "-a", "a b", "a_1", "\u00e91", "a1\n", "a1\nb"]
+BAD_CRITERIA = ["", "a1", "A", "A1x", "B1", " A1", "A1\n", "A-1"]
+
+
+def corpus_file(name):
+    return json.loads(resources.files("stabkit").joinpath("corpus", name).read_text())
+
+
+def corpus_mutants(batch, rng):
+    """Single edits of a corpus file: in each entry every key dropped, junk
+    put in its place, an extra key, and ids and criteria near their patterns;
+    every entry replaced by junk; one more entry; and top levels that are not
+    lists."""
+    for i, entry in enumerate(batch):
+        for key in entry:
+            yield edited(batch, (i, key), lambda parent, k: parent.pop(k))
+            for junk in rng.sample(JUNK, 3):
+                yield edited(batch, (i, key), lambda parent, k: parent.__setitem__(k, junk))
+        yield edited(batch, (i, "extra"), lambda parent, k: parent.setdefault(k, 1))
+        for key, values in (("id", BAD_IDS), ("criterion", BAD_CRITERIA)):
+            for value in values:
+                yield edited(batch, (i, key), lambda parent, k: parent.__setitem__(k, value))
+        yield edited(batch, (i,), lambda parent, k: parent.__setitem__(k, rng.choice(JUNK)))
+    yield [*batch, rng.choice(JUNK)]
+    yield from [{}, batch[0], {"entries": batch}, "A1", None, 3]
+
+
+def corpus_validator():
+    """The validator `cli._load_corpus` checks each corpus file with."""
+    return cli._SchemaValidator(cli._load_schema("corpus-v1.schema.json"))
+
+
+class TestCorpusSchema:
+    def test_bundled_files_are_valid(self):
+        validator = corpus_validator()
+        for name in CORPUS_FILES:
+            batch = corpus_file(name)
+            CORPUS_REFERENCE.validate(batch)
+            assert validator.accepts(batch)
+
+    @pytest.mark.parametrize("name", CORPUS_FILES)
+    def test_mutants_are_decided_as_jsonschema_decides(self, name):
+        validator = corpus_validator()
+        invalid = 0
+        for mutant in corpus_mutants(corpus_file(name), random.Random(name)):
+            expected = first_error(CORPUS_REFERENCE, mutant)
+            assert validator.accepts(mutant) == (expected is None), mutant
+            assert first_error(validator, mutant) == expected, mutant
+            invalid += expected is not None
+        assert invalid >= 20
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda batch: [{k: v for k, v in batch[0].items() if k != "expect"}],
+            lambda batch: [{**batch[0], "extra": 1}],
+            lambda batch: [{**batch[0], "id": "Bad-Id"}],
+            lambda batch: [{**batch[0], "criterion": "A1x"}],
+            lambda batch: [{**batch[0], "job": []}],
+            lambda batch: ["entry", *batch],
+            lambda batch: {"entries": batch},
+        ],
+        ids=[
+            "drop-expect",
+            "extra-key",
+            "bad-id",
+            "bad-criterion",
+            "job-not-object",
+            "junk-entry",
+            "not-a-list",
+        ],
+    )
+    def test_stabkit_corpus_prints_the_first_error(self, tmp_path, capsys, edit):
+        batch = edit(corpus_file(CORPUS_FILES[0]))
+        with pytest.raises(jsonschema.ValidationError) as caught:
+            CORPUS_REFERENCE.validate(batch)
+        directory = tmp_path / "corpus"
+        directory.mkdir()
+        (directory / CORPUS_FILES[0]).write_text(json.dumps(batch))
+        assert cli.main(["corpus", "--corpus", str(directory)]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"invalid corpus: {caught.value}\n")
 
 
 def test_cached_parser_keeps_no_state(tmp_path, capsys):
