@@ -14,7 +14,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .multipoly import _add_into, _exact, _exponent, _mul_into, _pow_terms, _scale_terms
+from .multipoly import _add_into, _exact, _exponent, _mul_into, _scale_terms
 
 
 class LaurentPoly:
@@ -110,11 +110,6 @@ class LaurentPoly:
             return LaurentPoly()
         return LaurentPoly._trusted(_scale_terms(self.terms, c))
 
-    def pow(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial; use LaurentFrac")
-        return LaurentPoly._trusted(_pow_terms(self.terms, n, 0, operator.add))
-
     def __repr__(self):
         from .parser import format_laurent
 
@@ -142,9 +137,9 @@ def ord0(entries: Iterable[LaurentPoly | LaurentFrac]):
 class LaurentFrac:
     """Element of the Laurent field, kept as a numerator/denominator pair.
 
-    Group actions with negative torus weights or inverse-determinant factors
-    land here; only valuations, arithmetic and exact equality are needed
-    downstream, none of which require expanding power series.
+    Valuations, arithmetic and exact equality need no power-series
+    expansion.  No package code builds one: arc weights read t-orders off
+    `groups.image_order` without forming images in the Laurent field.
     """
 
     __slots__ = ("num", "den")

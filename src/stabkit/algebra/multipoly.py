@@ -154,18 +154,6 @@ def _scale_terms(terms: Mapping, c) -> dict:
     return out
 
 
-def _pow_terms(terms: Mapping, n: int, one, add: Callable) -> dict:
-    """terms ** n by square-and-multiply; `one` is the exponent of 1."""
-    out = {one: 1}
-    while n:
-        if n & 1:
-            out = _mul_into({}, out, terms, add)
-        n >>= 1
-        if n:
-            terms = _mul_into({}, terms, terms, add)
-    return out
-
-
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
@@ -285,12 +273,6 @@ class MultiPoly:
             return MultiPoly(self.variables)
         return MultiPoly._trusted(self.variables, _scale_terms(self.terms, c))
 
-    def pow(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        one = (0,) * len(self.variables)
-        return MultiPoly._trusted(self.variables, _pow_terms(self.terms, n, one, _mul_mono))
-
     def lead(self, order: MonomialOrder) -> tuple[Monomial, int | Fraction]:
         """Leading (monomial, coefficient) under `order`; errors on zero."""
         if not self.terms:
@@ -341,10 +323,10 @@ class MultiPoly:
     def subs(self, values: Mapping[str, object]):
         """Evaluate at values living in any commutative ring.
 
-        Values must support + and *; rationals, MultiPoly, LaurentPoly and
-        LaurentFrac all qualify.  Every variable must be assigned.  Powers
-        come from one table per variable, built by repeated product up to
-        the largest exponent used.
+        Values must support + and *, including * by a rational coefficient;
+        rationals, MultiPoly, LaurentPoly and LaurentFrac all qualify.  Every
+        variable must be assigned.  Powers come from one table per variable,
+        built by repeated product up to the largest exponent used.
         """
         for v in self.variables:
             if v not in values:
@@ -364,10 +346,7 @@ class MultiPoly:
                     continue
                 p = row[e]
                 term = p if term is None else term * p
-            if term is None:
-                contrib = c
-            else:
-                contrib = _scale_value(term, c)
+            contrib = c if term is None else term * c
             total = contrib if total is None else total + contrib
         if total is None:
             return Fraction(0)
@@ -382,12 +361,3 @@ class MultiPoly:
         from .parser import format_multi
 
         return f"MultiPoly({format_multi(self)!r})"
-
-
-def _scale_value(value, c: Fraction):
-    if isinstance(value, Fraction):
-        return value * c
-    scale = getattr(value, "scale", None)
-    if scale is not None:
-        return scale(c)
-    return value * c

@@ -676,6 +676,8 @@ def _load_corpus(directory: Path) -> list[dict]:
 def _run_entry(entry: dict, budget_override) -> tuple[bool, str]:
     try:
         report = execute_job(entry["job"], budget_override=budget_override)
+    except _rejection() as exc:
+        return False, f"ValidationError: {exc.message} (at {exc.json_path})"
     except Exception as exc:  # noqa: BLE001 - a crashing entry is a failing entry
         return False, f"{type(exc).__name__}: {exc}"
     found = _mismatch(entry["expect"], report)
@@ -692,7 +694,10 @@ def _cmd_corpus(args) -> int:
         return EXIT_INVALID
     try:
         entries = _load_corpus(directory)
-    except (OSError, ValueError, _rejection()) as exc:
+    except _rejection() as exc:
+        print(f"invalid corpus: {exc.message} (at {exc.json_path})", file=sys.stderr)
+        return EXIT_INVALID
+    except (OSError, ValueError) as exc:
         print(f"invalid corpus: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if not entries:

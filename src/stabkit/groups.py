@@ -9,9 +9,13 @@ and determinant denominators.
 
 Polynomials of the group ring are evaluated at an arc in one place,
 `_at_arc`: one power table per entry is shared by every polynomial of the
-call, and each ginv^k is cleared there as det^(top - k).  `act` contracts
-the vector into each row of an action matrix first, so an action meets an
-arc once per row; `check_arc` evaluates the relations the same way.
+call, and each ginv^k is cleared there as det^(top - k).  Arcs enter arc
+weights and norms only through t-orders, so `image_order` reads ord0(arc.v)
+off them without forming arc.v in the Laurent field: a torus coordinate's
+order is a dot product of its weight with the valuations of the diagonal,
+and a matrix action contracts v into each row, meets the arc once per row
+through `_at_arc`, and subtracts top * val(det).  `check_arc` evaluates the
+relations the same way.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra.ideals import Ideal
-from .algebra.laurent import LaurentFrac, LaurentPoly, ord0
-from .algebra.multipoly import MultiPoly, _add_into, _exact, _mul_into, _scale_terms
+from .algebra.laurent import LaurentPoly, ord0
+from .algebra.multipoly import MultiPoly, _add_into, _exact, _exponent, _mul_into, _scale_terms
 
 INV_VAR = "ginv"
 
@@ -179,7 +183,7 @@ class TorusWeights:
     weights: tuple[tuple[int, ...], ...]
 
     def __init__(self, weights: Sequence[Sequence[int]]):
-        ws = tuple(tuple(int(e) for e in w) for w in weights)
+        ws = tuple(tuple(map(_exponent, w)) for w in weights)
         if not ws:
             raise ValueError("a representation needs at least one coordinate")
         if len({len(w) for w in ws}) != 1:
@@ -297,7 +301,7 @@ class Arc:
     @classmethod
     def one_ps(cls, exponents: Sequence[int]) -> "Arc":
         """Diagonal one-parameter subgroup t -> diag(t^e1, ..., t^em)."""
-        return cls.diagonal_arc([LaurentPoly.t_power(int(e)) for e in exponents])
+        return cls.diagonal_arc([LaurentPoly.t_power(e) for e in exponents])
 
     @classmethod
     def elementary(cls, m: int, i: int, j: int, off: LaurentPoly) -> "Arc":
@@ -379,15 +383,15 @@ def check_action(action: MatrixAction) -> bool:
     return True
 
 
-def _at_arc(polys: Sequence[dict], arc: Arc) -> tuple[list[dict], dict]:
+def _at_arc(polys: Sequence[dict], arc: Arc) -> tuple[list[dict], int]:
     """Polynomials of the group ring at an arc, with the inverse determinant
     cleared: the one place where ginv meets an arc.
 
     `polys` are term dicts over g11..gmm, ginv, and the arc's determinant is
     nonzero.  With top the largest ginv exponent among them, returns the
-    term dicts of p(arc) * det^top, one per polynomial, and that of det^top.
-    A term's ginv^k becomes det^(top - k).  The powers of each entry, and of
-    det, come from one table shared by every term of every polynomial.
+    term dicts of p(arc) * det^top, one per polynomial, and top.  A term's
+    ginv^k becomes det^(top - k).  The powers of each entry, and of det,
+    come from one table shared by every term of every polynomial.
     """
     entries = [e.terms for row in arc.matrix for e in row]
     n = len(entries)
@@ -417,7 +421,7 @@ def _at_arc(polys: Sequence[dict], arc: Arc) -> tuple[list[dict], dict]:
             else:
                 _add_into(acc, {0: c} if prod is None else prod)
         out.append(acc)
-    return out, dict(dets[top]) if top else {0: 1}
+    return out, top
 
 
 def arcs_equivalent(a: Arc, b: Arc) -> bool:
@@ -446,59 +450,6 @@ def arcs_equivalent(a: Arc, b: Arc) -> bool:
                 if entry.val < bound:
                     return False
     return True
-
-
-def act(rep: Representation, arc: Arc, vector: Sequence[Fraction]) -> list[LaurentFrac]:
-    """Image of a rational vector under the arc, coordinate by coordinate.
-
-    Results are Laurent-field elements: negative torus weights and
-    inverse-determinant powers put denominators in play, but valuations stay
-    exact.
-    """
-    if isinstance(rep, TorusWeights):
-        if arc.size != rep.rank:
-            raise ValueError("arc size does not match the torus rank")
-        if not arc.is_diagonal():
-            raise ValueError("TorusWeights representations act through diagonal arcs only")
-        units = arc.diagonal()
-        if any(u.is_zero() for u in units):
-            raise ValueError("invalid arc: zero diagonal entry")
-        if len(vector) != rep.dim:
-            raise ValueError("vector length does not match the representation")
-        out = []
-        for chi, coord in zip(rep.weights, vector):
-            c = Fraction(coord)
-            if c == 0:
-                out.append(LaurentFrac(LaurentPoly.zero()))
-                continue
-            num = LaurentPoly.constant(c)
-            den = LaurentPoly.constant(1)
-            for u, e in zip(units, chi):
-                if e > 0:
-                    num = num * u.pow(e)
-                elif e < 0:
-                    den = den * u.pow(-e)
-            out.append(LaurentFrac(num, den))
-        return out
-    if isinstance(rep, MatrixAction):
-        if arc.size != rep.group.size:
-            raise ValueError("arc size does not match the group")
-        if len(vector) != rep.dim:
-            raise ValueError("vector length does not match the representation")
-        if arc.det.is_zero():
-            raise ValueError("invalid arc: zero determinant")
-        coords = [_exact(c) for c in vector]
-        rows = []
-        for row in rep.matrix:  # sum_j c_j * entry_ij in the group ring
-            acc: dict = {}
-            for c, entry in zip(coords, row):
-                if c:
-                    _add_into(acc, _scale_terms(entry.terms, c))
-            rows.append(acc)
-        nums, den = _at_arc(rows, arc)
-        den = LaurentPoly._trusted(den)
-        return [LaurentFrac(LaurentPoly._trusted(num), den) for num in nums]
-    raise TypeError(f"unknown representation type {type(rep).__name__}")
 
 
 def rep_weights(rep: Representation, m: int) -> list[tuple[int, ...]]:
@@ -566,10 +517,46 @@ def deg_of_rep(rep: Representation, m: int) -> int:
 
 def image_order(rep: Representation, arc: Arc, v: Sequence[Fraction]):
     """ord0(arc.v) for a nonzero v: the term that mu_weight and arc_norm share,
-    for callers that need both of one arc."""
+    for callers that need both of one arc.
+
+    Read off t-orders, without forming arc.v.  At diag(u_1, ..., u_m) a torus
+    coordinate of weight chi has order <chi, (val u_1, ..., val u_m)>.  A
+    matrix action's coordinate is a numerator from `_at_arc` over det^top,
+    so a nonzero one has order val(numerator) - top * val(det).
+    """
     if all(Fraction(c) == 0 for c in v):
         raise ValueError("v must be nonzero")
-    return ord0(act(rep, arc, v))
+    if isinstance(rep, TorusWeights):
+        if arc.size != rep.rank:
+            raise ValueError("arc size does not match the torus rank")
+        if not arc.is_diagonal():
+            raise ValueError("TorusWeights representations act through diagonal arcs only")
+        vals = [u.val for u in arc.diagonal()]
+        if math.inf in vals:
+            raise ValueError("invalid arc: zero diagonal entry")
+        if len(v) != rep.dim:
+            raise ValueError("vector length does not match the representation")
+        return min(
+            sum(map(operator.mul, chi, vals)) for chi, c in zip(rep.weights, v) if Fraction(c)
+        )
+    if isinstance(rep, MatrixAction):
+        if arc.size != rep.group.size:
+            raise ValueError("arc size does not match the group")
+        if len(v) != rep.dim:
+            raise ValueError("vector length does not match the representation")
+        if arc.det.is_zero():
+            raise ValueError("invalid arc: zero determinant")
+        coords = [_exact(c) for c in v]
+        rows = []
+        for row in rep.matrix:  # sum_j c_j * entry_ij in the group ring
+            acc: dict = {}
+            for c, entry in zip(coords, row):
+                if c:
+                    _add_into(acc, _scale_terms(entry.terms, c))
+            rows.append(acc)
+        nums, top = _at_arc(rows, arc)
+        return ord0(map(LaurentPoly._trusted, nums)) - top * arc.det.val
+    raise TypeError(f"unknown representation type {type(rep).__name__}")
 
 
 def mu_from_order(ord_v, rep_w: Representation, w: Sequence[Fraction], arc: Arc):
@@ -577,7 +564,7 @@ def mu_from_order(ord_v, rep_w: Representation, w: Sequence[Fraction], arc: Arc)
     +infinity when w = 0."""
     if all(Fraction(c) == 0 for c in w):
         return math.inf
-    return ord0(act(rep_w, arc, w)) - ord_v
+    return image_order(rep_w, arc, w) - ord_v
 
 
 def norm_from_order(ord_v, d: int, arc: Arc):

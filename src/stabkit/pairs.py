@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import linprog
 from .algebra.laurent import LaurentPoly
-from .algebra.multipoly import primitive
+from .algebra.multipoly import _exact, primitive
 from .algebra.parser import format_rational
 from .groups import (
     Arc,
@@ -50,8 +50,8 @@ class Pair:
     group: GroupPresentation
 
     def __init__(self, rep_v, rep_w, v, w, group):
-        v = tuple(Fraction(c) for c in v)
-        w = tuple(Fraction(c) for c in w)
+        v = tuple(Fraction(_exact(c)) for c in v)
+        w = tuple(Fraction(_exact(c)) for c in w)
         if all(c == 0 for c in v):
             raise ValueError("v must be nonzero")
         for rep, vec, name in ((rep_v, v, "v"), (rep_w, w, "w")):

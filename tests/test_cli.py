@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from stabkit.algebra import format_multi
 from stabkit.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, _mismatch, execute_job, main
-from stabkit import groups
+from stabkit import cli, groups
 from stabkit.groups import GroupPresentation, sym_action
 
 QUARTIC_PAIR = {
@@ -603,6 +603,21 @@ class TestCorpus:
         out = capsys.readouterr().out
         assert code == 1
         assert "[crash] FAIL" in out
+
+    def test_entry_failing_the_job_schema_is_one_line(self, tmp_path, capsys):
+        job = {"schema_version": 1, "kind": "model.df", "payload": {"a0": "1"}}
+        entries = [{"id": "no-a1", "criterion": "A1", "job": job, "expect": {}}]
+        d = self.corpus_dir(tmp_path, entries)
+        code = main(["corpus", "--corpus", str(d)])
+        out = capsys.readouterr().out
+        with pytest.raises(jsonschema.ValidationError) as caught:
+            cli._job_validator().explainer.validate(job)
+        error = caught.value
+        assert code == 1
+        assert out == (
+            f"[no-a1] FAIL: ValidationError: {error.message} (at {error.json_path})\n"
+            "A1 FAIL (0/1)\n"
+        )
 
     def test_duplicate_ids_rejected(self, tmp_path, capsys):
         entry = {

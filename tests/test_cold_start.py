@@ -104,7 +104,8 @@ def test_a_rejected_document_is_explained_by_jsonschema(tmp_path):
     codes, imported, err = fresh(["run", invalid], ["corpus", "--corpus", str(corpus)])
     assert codes == [cli.EXIT_INVALID, cli.EXIT_INVALID]
     assert imported
-    assert err == INVALID_LINE + f"invalid corpus: {corpus_error}\n"
+    corpus_line = f"invalid corpus: {corpus_error.message} (at {corpus_error.json_path})\n"
+    assert err == INVALID_LINE + corpus_line
 
 
 def test_files_are_read_as_utf8_in_an_ascii_locale(tmp_path):

@@ -17,7 +17,6 @@ from stabkit.groups import (
     GroupPresentation,
     MatrixAction,
     TorusWeights,
-    act,
     arc_norm,
     arcs_equivalent,
     check_action,
@@ -26,6 +25,7 @@ from stabkit.groups import (
     det_polynomial,
     diagonal_action,
     entry_variables,
+    image_order,
     mu_weight,
     rep_weights,
     sym_action,
@@ -173,6 +173,18 @@ class TestRepresentations:
         ws = TorusWeights([(1, 0), (0, 1)])
         assert ws.dim == 2 and ws.rank == 2
 
+    @pytest.mark.parametrize(
+        "bad", [Fraction(5, 2), 2.9, 2.0, "2"], ids=["5/2", "2.9", "2.0", "str"]
+    )
+    def test_inexact_weights_are_refused_not_truncated(self, bad):
+        with pytest.raises(TypeError, match=r"is not an int"):
+            TorusWeights([(1, bad)])
+
+    def test_integral_weight_types_are_ints(self):
+        ws = TorusWeights([(True, Fraction(3).numerator), (-1, 0)])
+        assert ws.weights == ((1, 3), (-1, 0))
+        assert all(type(e) is int for w in ws.weights for e in w)
+
     def test_matrix_action_ring_discipline(self):
         wrong = parse_multi("x", ("x",))
         with pytest.raises(ValueError):
@@ -253,6 +265,11 @@ class TestArcs:
         with pytest.raises(ValueError):
             Arc.elementary(2, 1, 1, parse_laurent("t"))
 
+    @pytest.mark.parametrize("bad", [Fraction(5, 2), 2.9, 2.0], ids=["5/2", "2.9", "2.0"])
+    def test_inexact_one_ps_exponents_are_refused(self, bad):
+        with pytest.raises(TypeError, match=r"is not an int"):
+            Arc.one_ps([1, bad])
+
     def test_product_and_det(self):
         a = one_ps(1, -1)
         b = Arc.elementary(2, 0, 1, parse_laurent("1 + t"))
@@ -289,33 +306,32 @@ class TestArcs:
 
 
 class TestActionAndWeights:
-    def test_torus_act_valuations(self):
+    def test_torus_image_order(self):
         rep = TorusWeights([(1, 0), (-2, 1)])
-        out = act(rep, one_ps(3, 1), [Fraction(1), Fraction(2)])
-        assert [e.val for e in out] == [3, -5]
+        arc = one_ps(3, 1)
+        assert image_order(rep, arc, [Fraction(1), Fraction(0)]) == 3
+        assert image_order(rep, arc, [Fraction(0), Fraction(2)]) == -5
+        assert image_order(rep, arc, [Fraction(1), Fraction(2)]) == -5
 
-    def test_act_zero_coordinates_stay_zero(self):
-        rep = TorusWeights([(1, 0), (0, 1)])
-        out = act(rep, one_ps(1, 1), [Fraction(0), Fraction(5)])
-        assert out[0].is_zero() and out[1].val == 1
+    def test_zero_coordinates_do_not_count(self):
+        rep = TorusWeights([(-1, 0), (0, 1)])
+        assert image_order(rep, one_ps(1, 1), [Fraction(0), Fraction(5)]) == 1
 
-    def test_matrix_act_agrees_with_torus_on_diagonal_arcs(self):
+    def test_matrix_order_agrees_with_torus_on_diagonal_arcs(self):
         d = 3
         mat = sym_action(GL2, d)
         tor = sym_gl2_weights(d)
-        v = [Fraction(1), Fraction(0), Fraction(-2), Fraction(1)]
         arc = one_ps(2, -1)
-        left = act(mat, arc, v)
-        right = act(tor, arc, v)
-        assert [e.val for e in left] == [e.val for e in right]
+        for v in ([1, 0, -2, 1], [0, 0, 0, 1], [0, 3, 0, 0]):
+            v = [Fraction(c) for c in v]
+            assert image_order(mat, arc, v) == image_order(tor, arc, v)
 
     def test_unipotent_arc_mixes_coordinates(self):
         rep = sym_action(GL2, 1)
         uni = Arc.elementary(2, 0, 1, parse_laurent("t"))
-        out = act(rep, uni, [Fraction(0), Fraction(1)])
-        # x -> x stays; y picks up t*x
-        assert out[0] == parse_laurent("t")
-        assert out[1] == parse_laurent("1")
+        # y -> y + t*x: the image (t, 1) has order 0, and x alone stays at 0
+        assert image_order(rep, uni, [Fraction(0), Fraction(1)]) == 0
+        assert image_order(rep, uni @ one_ps(1, 1), [Fraction(1), Fraction(0)]) == 1
 
     def test_mu_conventions(self):
         rep = TorusWeights([(1,)])

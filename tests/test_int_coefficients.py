@@ -19,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit.algebra import GREVLEX, LEX, LaurentFrac, LaurentPoly, MonomialOrder, MultiPoly
+from stabkit.algebra import GREVLEX, LEX, LaurentPoly, MonomialOrder, MultiPoly
 from stabkit.algebra import parse_laurent, parse_multi
 from stabkit.algebra.ideals import _lead, _normal_form, _spoly
 from stabkit.algebra.multipoly import _mul_mono, mono_div, mono_divides, mono_lcm
 from stabkit.cli import main
-from stabkit.groups import Arc, GroupPresentation, MatrixAction, act, sym_action
+from stabkit.groups import Arc, GroupPresentation, MatrixAction, _at_arc, image_order, sym_action
 
 RING = ("x", "y", "z")
 ORDERS = [GREVLEX, LEX, MonomialOrder("block", split=1)]
@@ -146,28 +146,26 @@ laurent_polys = st.dictionaries(
 
 
 class TestAgainstFractionKernel:
-    @given(multi_polys, multi_polys, st.integers(min_value=0, max_value=3), mixed)
+    @given(multi_polys, multi_polys, mixed)
     @settings(max_examples=150, deadline=None)
-    def test_multi_arithmetic(self, a, b, n, c):
+    def test_multi_arithmetic(self, a, b, c):
         for got, want in [
             (a + b, frac_add(a.terms, b.terms)),
             (a - b, frac_add(a.terms, frac_scale(b.terms, -1))),
             (a * b, frac_mul(a.terms, b.terms, _mul_mono)),
-            (a.pow(n), frac_pow(a.terms, n, (0,) * len(RING), _mul_mono)),
             (a.scale(c), frac_scale(a.terms, c)),
             (a + c, frac_add(a.terms, {(0, 0, 0): c})),
         ]:
             assert got.terms == want
             assert_kernel_terms(got.terms)
 
-    @given(laurent_polys, laurent_polys, st.integers(min_value=0, max_value=3), mixed)
+    @given(laurent_polys, laurent_polys, mixed)
     @settings(max_examples=150, deadline=None)
-    def test_laurent_arithmetic(self, a, b, n, c):
+    def test_laurent_arithmetic(self, a, b, c):
         for got, want in [
             (a + b, frac_add(a.terms, b.terms)),
             (a - b, frac_add(a.terms, frac_scale(b.terms, -1))),
             (a * b, frac_mul(a.terms, b.terms, operator.add)),
-            (a.pow(n), frac_pow(a.terms, n, 0, operator.add)),
             (a.scale(c), frac_scale(a.terms, c)),
         ]:
             assert got.terms == want
@@ -247,14 +245,26 @@ class TestActAgainstFractionKernel:
     @given(act_cases())
     @settings(max_examples=150, deadline=None)
     def test_act(self, case):
+        """The numerators `_at_arc` gives over det^top are the all-Fraction
+        ones, held as kernel terms, and `image_order` is their order."""
         action, arc, vector = case
-        got = act(action, arc, vector)
-        nums, den = frac_act(action, arc, vector)
-        for g, num in zip(got, nums):
-            assert isinstance(g, LaurentFrac)
-            assert (g.num.terms, g.den.terms) == (num, den)
-            assert_kernel_terms(g.num.terms)
-            assert_kernel_terms(g.den.terms)
+        zero = MultiPoly.zero(action.group.variables)
+        rows = [sum(map(MultiPoly.scale, row, vector), zero).terms for row in action.matrix]
+        nums, top = _at_arc(rows, arc)
+        want, den = frac_act(action, arc, vector)
+        assert nums == want
+        assert den == frac_pow(arc.det.terms, top, 0, operator.add)
+        for num in nums:
+            assert_kernel_terms(num)
+        if not any(vector):
+            with pytest.raises(ValueError, match="v must be nonzero"):
+                image_order(action, arc, vector)
+        elif not any(want):
+            with pytest.raises(ValueError, match="ord0 of an all-zero vector is undefined"):
+                image_order(action, arc, vector)
+        else:
+            order = min(min(num) for num in want if num) - min(den)
+            assert image_order(action, arc, vector) == order
 
 
 class TestEntryPoints:

@@ -571,7 +571,9 @@ class TestCorpusSchema:
         (directory / CORPUS_FILES[0]).write_text(json.dumps(batch))
         assert cli.main(["corpus", "--corpus", str(directory)]) == cli.EXIT_INVALID
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"invalid corpus: {caught.value}\n")
+        error = caught.value
+        line = f"invalid corpus: {error.message} (at {error.json_path})\n"
+        assert (captured.out, captured.err) == ("", line)
 
 
 def test_cached_parser_keeps_no_state(tmp_path, capsys):

@@ -1,11 +1,12 @@
-"""Every public function and method of the package is used by the package.
+"""Every public function and method, and every private module-level
+function and class, of the package is used by the package.
 
 A helper that only tests call is dead weight: it has to be kept correct and
-read, yet no job ever runs it.  A module-level function counts as used when
-its name appears as a whole word on some line of `src/stabkit` other than its
-own `def` line, an import statement or an `__init__.py`.  A public
-non-dunder method of a class counts as used when `.name` appears on such a
-line.
+read, yet no job ever runs it.  A module-level function, or a private
+module-level class, counts as used when its name appears as a whole word on
+some line of `src/stabkit` other than its own `def` or `class` line, an
+import statement or an `__init__.py`.  A public non-dunder method of a class
+counts as used when `.name` appears on such a line.
 """
 
 import ast
@@ -48,6 +49,17 @@ def _public_functions() -> list[tuple[Path, int, str]]:
     return out
 
 
+def _private_module_names() -> list[tuple[Path, int, str]]:
+    """(file, def line, name) of every module-level function or class whose
+    name starts with an underscore."""
+    out = []
+    for path, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                out.append((path, node.lineno, node.name))
+    return out
+
+
 def _public_methods() -> list[tuple[Path, int, str, str]]:
     """(file, def line, class name, method name) of every public non-dunder
     method of every class in the package."""
@@ -78,6 +90,11 @@ def _unused(defs, pattern) -> list[str]:
 
 def test_every_public_function_has_a_caller_in_the_package():
     defs = [(p, n, name, name) for p, n, name in _public_functions() if name not in ALLOWED]
+    assert _unused(defs, lambda name: rf"\b{name}\b") == []
+
+
+def test_every_private_function_and_class_is_used_in_the_package():
+    defs = [(p, n, name, name) for p, n, name in _private_module_names()]
     assert _unused(defs, lambda name: rf"\b{name}\b") == []
 
 

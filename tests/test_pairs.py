@@ -110,6 +110,18 @@ class TestPairValidation:
         with pytest.raises(ValueError):
             Pair(TorusWeights([(1, 2)]), TorusWeights([(0, 0)]), [1], [1], T1)
 
+    @pytest.mark.parametrize("where", ["v", "w"])
+    def test_float_coordinates_are_refused(self, where):
+        coords = {"v": [1, Fraction(1, 10)], "w": [2]}
+        coords[where] = [0.1] * len(coords[where])
+        with pytest.raises(TypeError, match=r"^float coefficient 0.1; pass an int or a Fraction$"):
+            torus_pair([(1,), (2,)], [(0,)], **coords)
+
+    def test_exact_coordinates_are_fractions(self):
+        pair = torus_pair([(1,), (2,)], [(0,)], v=[1, Fraction(1, 10)], w=["2/3"])
+        assert pair.v == (Fraction(1), Fraction(1, 10)) and pair.w == (Fraction(2, 3),)
+        assert all(type(c) is Fraction for c in pair.v + pair.w)
+
     def test_supports_drop_zero_coordinates(self):
         pair = torus_pair([(1,), (2,), (1,)], [(5,)], v=[1, 0, 2], w=[0])
         supp_v, supp_w = torus_supports(pair)

@@ -61,17 +61,6 @@ def ref_mul(a, b, add):
     return out
 
 
-def ref_pow(a, n, one, add):
-    out = {one: Fraction(1)}
-    base = a
-    while n:
-        if n & 1:
-            out = ref_mul(out, base, add)
-        base = ref_mul(base, base, add)
-        n >>= 1
-    return out
-
-
 def ref_reduce(f, basis, order):
     """Normal form as computed before the in-place reducer: three MultiPolys
     per reduction step."""
@@ -170,11 +159,6 @@ class TestMultiKernel:
         assert_clean_multi(a * b, ref_mul(a.terms, b.terms, _mul_mono))
         assert_clean_multi(-a, negated(a.terms))
 
-    @given(multi_polys, st.integers(min_value=0, max_value=4))
-    @settings(max_examples=60, deadline=None)
-    def test_pow(self, a, n):
-        assert_clean_multi(a.pow(n), ref_pow(a.terms, n, (0,) * len(RING), _mul_mono))
-
     @given(multi_polys, rationals)
     @settings(max_examples=100, deadline=None)
     def test_scale(self, a, c):
@@ -194,11 +178,6 @@ class TestLaurentKernel:
         assert_clean_laurent(a - b, ref_add(a.terms, negated(b.terms)))
         assert_clean_laurent(a * b, ref_mul(a.terms, b.terms, operator.add))
         assert_clean_laurent(-a, negated(a.terms))
-
-    @given(laurent_polys, st.integers(min_value=0, max_value=4))
-    @settings(max_examples=60, deadline=None)
-    def test_pow(self, a, n):
-        assert_clean_laurent(a.pow(n), ref_pow(a.terms, n, 0, operator.add))
 
     @given(laurent_polys, rationals)
     @settings(max_examples=100, deadline=None)
