@@ -190,16 +190,11 @@ def _jsonable(obj):
 
 def _build_group(desc: dict, *reps: dict) -> GroupPresentation:
     """The job's group.  A `sym` representation among `reps` needs size 2;
-    that is checked first, because building an SL or GL group of size k
-    writes its k!-term determinant."""
-    kind, size = desc["kind"], desc["size"]
-    if size != 2 and any(rep["kind"] == "sym" for rep in reps):
+    that is checked first, so its message wins over an error from building
+    the other representation."""
+    if desc["size"] != 2 and any(rep["kind"] == "sym" for rep in reps):
         raise ValueError("symmetric-power helper is for 2x2 groups")
-    if kind == "torus":
-        return GroupPresentation.torus(size)
-    if kind == "special-linear":
-        return GroupPresentation.special_linear(size)
-    return GroupPresentation.general_linear(size)
+    return GroupPresentation(desc["size"], desc["kind"])
 
 
 def _build_rep(desc: dict, group: GroupPresentation):
@@ -287,7 +282,7 @@ def _run_algebra_groebner(payload: dict, budget: Budget, seed):
 
 
 def _pair_from_payload(payload: dict) -> Pair:
-    group = GroupPresentation.torus(payload["rank"])
+    group = GroupPresentation(payload["rank"], "torus")
     return Pair(
         TorusWeights(payload["weights_v"]),
         TorusWeights(payload["weights_w"]),
@@ -451,7 +446,7 @@ def _run_locus_oracle(payload: dict, budget: Budget, seed):
 
 
 def _run_locus_family(payload: dict, budget: Budget, seed):
-    group = GroupPresentation.torus(payload["rank"])
+    group = GroupPresentation(payload["rank"], "torus")
     base = list(payload["base"])
     fam = FamilyPair(
         base,

@@ -14,17 +14,19 @@ weights and norms only through t-orders, so `image_order` reads ord0(arc.v)
 off them without forming arc.v in the Laurent field: a torus coordinate's
 order is a dot product of its weight with the valuations of the diagonal,
 and a matrix action contracts v into each row, meets the arc once per row
-through `_at_arc`, and subtracts top * val(det).  `check_arc` evaluates the
-relations the same way.
+through `_at_arc`, and subtracts top * val(det).  `check_arc` reads only
+the group's kind and the arc's determinant; the relations are built where
+elimination reads them as polynomials.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -64,39 +66,59 @@ def det_polynomial(m: int, variables: Sequence[str]) -> MultiPoly:
     return MultiPoly._trusted(variables, terms)
 
 
-def _det(matrix, zero):
-    """Determinant over any commutative ring by cofactor expansion along the
-    first row; entries equal to `zero`, the ring's own zero, are skipped (a
-    polynomial never equals the int 0)."""
+def _det(matrix) -> LaurentPoly:
+    """Determinant of a Laurent matrix by cofactor expansion along the first
+    row, skipping zero entries."""
     m = len(matrix)
     if m == 1:
         return matrix[0][0]
-    out = zero
+    out = LaurentPoly.zero()
     for j, entry in enumerate(matrix[0]):
-        if entry == zero:
+        if entry.is_zero():
             continue
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = entry * _det(minor, zero)
+        term = entry * _det(minor)
         out = out - term if j % 2 else out + term
     return out
 
 
+def _rational_det(matrix) -> Fraction:
+    """Determinant of a rational matrix by Gaussian elimination."""
+    rows = [[Fraction(e) for e in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        i = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if i is None:
+            return Fraction(0)
+        if i != col:
+            rows[col], rows[i], det = rows[i], rows[col], -det
+        head = rows[col]
+        det *= head[col]
+        for row in rows[col + 1 :]:
+            f = row[col] / head[col]
+            row[col:] = [a - f * b for a, b in zip(row[col:], head[col:])]
+    return det
+
+
 @dataclass(frozen=True)
 class GroupPresentation:
-    """A torus, SL_m or GL_m, cut out of GL_m by explicit relations.
+    """A torus, SL_m or GL_m of size m.
 
     `kind` is the job schema's name for the group: "torus", "special-linear"
-    or "general-linear".  Each constructor lists a unit relation that makes
-    ginv the inverse determinant wherever the relations hold.
+    or "general-linear".  Equality and hash compare (size, kind).  The
+    relations that cut the group out of GL_m are built only where they are
+    read as polynomials, by elimination in `locus`; `check_arc` decides
+    membership from `kind` and the arc's determinant.
     """
 
     size: int
-    relations: Ideal
     kind: str
+    variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.relations.variables
+    def __post_init__(self):
+        if self.kind not in ("torus", "special-linear", "general-linear"):
+            raise ValueError(f"unknown group kind {self.kind!r}")
+        object.__setattr__(self, "variables", tuple(entry_variables(self.size)))
 
     @property
     def is_torus(self) -> bool:
@@ -108,38 +130,22 @@ class GroupPresentation:
             raise ValueError("rank is defined for torus presentations only")
         return self.size
 
-    @classmethod
-    def torus(cls, k: int) -> "GroupPresentation":
-        """Diagonal torus of GL_k: off-diagonal entries vanish.
-
-        The unit relation is ginv*g11*...*gkk - 1.  It generates the same
-        ideal as ginv*det - 1, because det is g11*...*gkk modulo the
-        off-diagonal entries, and it avoids the k!-term determinant.
-        """
-        variables = entry_variables(k)
-        n = len(variables)  # position p < n - 1 holds g(p//k + 1)(p%k + 1)
-        zero = (0,) * n
-        gens = [
-            MultiPoly(variables, {zero[:p] + (1,) + zero[p + 1 :]: 1})
-            for p in range(n - 1)
-            if p // k != p % k
-        ]
-        unit = tuple(1 if p == n - 1 or p // k == p % k else 0 for p in range(n))
-        gens.append(MultiPoly(variables, {unit: 1, zero: -1}))
-        return cls(k, Ideal(variables, gens), "torus")
-
-    @classmethod
-    def special_linear(cls, m: int) -> "GroupPresentation":
-        variables = entry_variables(m)
-        det = det_polynomial(m, variables)
-        gens = [det - 1, MultiPoly.var(variables, INV_VAR) * det - 1]
-        return cls(m, Ideal(variables, gens), "special-linear")
-
-    @classmethod
-    def general_linear(cls, m: int) -> "GroupPresentation":
-        variables = entry_variables(m)
-        gens = [MultiPoly.var(variables, INV_VAR) * det_polynomial(m, variables) - 1]
-        return cls(m, Ideal(variables, gens), "general-linear")
+    @functools.cached_property
+    def relations(self) -> Ideal:
+        """The ideal cutting the group out of GL_m; its unit relation makes
+        ginv the inverse determinant.  A torus's off-diagonal entries vanish,
+        and its unit relation ginv*g11*...*gkk - 1 generates the same ideal as
+        ginv*det - 1 without the k!-term determinant that SL and GL need."""
+        variables = self.variables
+        if self.is_torus:
+            in_unit = {f"g{i}{i}" for i in range(1, self.size + 1)} | {INV_VAR}
+            gens = [MultiPoly.var(variables, v) for v in variables if v not in in_unit]
+            mono = tuple(int(v in in_unit) for v in variables)
+            gens.append(MultiPoly(variables, {mono: 1, (0,) * len(variables): -1}))
+            return Ideal(variables, gens)
+        det = det_polynomial(self.size, variables)
+        unit = MultiPoly.var(variables, INV_VAR) * det - 1
+        return Ideal(variables, [det - 1, unit] if self.kind == "special-linear" else [unit])
 
     def random_point(self, rng: random.Random) -> list[list[Fraction]]:
         """A rational point of the group, for representation spot-checks."""
@@ -151,7 +157,7 @@ class GroupPresentation:
                 mat = [
                     [Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)
                 ]
-                if _det(mat, 0) != 0:
+                if _rational_det(mat):
                     return mat
         # special-linear: the identity after three elementary row operations
         mat = _diag_matrix([Fraction(1)] * m, Fraction(0))
@@ -227,10 +233,11 @@ class MatrixAction:
         return len(self.matrix)
 
     def evaluate_rational(self, point: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-        det = _det(point, 0)
+        det = _rational_det(point)
         if det == 0:
             raise ValueError("singular matrix is not a group point")
-        values = _entry_values(point, Fraction(1) / det)
+        values = {f"g{i}{j}": e for i, row in enumerate(point, 1) for j, e in enumerate(row, 1)}
+        values[INV_VAR] = Fraction(1) / det
         return [[p.subs(values) for p in row] for row in self.matrix]
 
 
@@ -240,13 +247,6 @@ Representation = TorusWeights | MatrixAction
 def _matmul(a, b, zero):
     """Matrix product over any commutative ring; `zero` is the ring's zero."""
     return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
-
-
-def _entry_values(matrix, inv) -> dict:
-    """Substitution map sending g11..gmm to the matrix entries and ginv to inv."""
-    values = {f"g{i}{j}": e for i, row in enumerate(matrix, 1) for j, e in enumerate(row, 1)}
-    values[INV_VAR] = inv
-    return values
 
 
 class Arc:
@@ -273,7 +273,7 @@ class Arc:
     @property
     def det(self) -> LaurentPoly:
         if self._det is None:
-            self._det = _det(self.matrix, LaurentPoly.zero())
+            self._det = _det(self.matrix)
         return self._det
 
     def entries(self) -> list[LaurentPoly]:
@@ -345,7 +345,7 @@ def _laurent_adjugate(matrix) -> list[list[LaurentPoly]]:
                 for r in range(m)
                 if r != i
             ]
-            cof = _det(minor, LaurentPoly.zero())
+            cof = _det(minor)
             if (i + j) % 2:
                 cof = -cof
             adj[j][i] = cof  # transpose of cofactors
@@ -355,15 +355,18 @@ def _laurent_adjugate(matrix) -> list[list[LaurentPoly]]:
 def check_arc(group: GroupPresentation, arc: Arc) -> bool:
     """True when the arc satisfies the group relations with nonzero determinant.
 
-    Relations may involve the inverse-determinant variable; they are checked
-    after clearing that denominator, which is exact because det != 0.
+    Decided from the group's kind and the arc's determinant, without the
+    relations: an arc lies in GL exactly when det != 0, in SL when moreover
+    det = 1, and in the torus when moreover it is diagonal.
     """
     if arc.size != group.size:
         raise ValueError("arc size does not match the group")
-    if arc.det.is_zero():
+    det = arc.det
+    if det.is_zero():
         return False
-    cleared, _ = _at_arc([rel.terms for rel in group.relations.generators], arc)
-    return not any(cleared)
+    if group.kind == "special-linear":
+        return det == LaurentPoly.constant(1)
+    return group.kind == "general-linear" or arc.is_diagonal()
 
 
 def check_action(action: MatrixAction) -> bool:
@@ -385,7 +388,7 @@ def check_action(action: MatrixAction) -> bool:
 
 def _at_arc(polys: Sequence[dict], arc: Arc) -> tuple[list[dict], int]:
     """Polynomials of the group ring at an arc, with the inverse determinant
-    cleared: the one place where ginv meets an arc.
+    cleared: the one place where ginv meets an arc, serving `image_order`.
 
     `polys` are term dicts over g11..gmm, ginv, and the arc's determinant is
     nonzero.  With top the largest ginv exponent among them, returns the
@@ -524,7 +527,7 @@ def image_order(rep: Representation, arc: Arc, v: Sequence[Fraction]):
     matrix action's coordinate is a numerator from `_at_arc` over det^top,
     so a nonzero one has order val(numerator) - top * val(det).
     """
-    if all(Fraction(c) == 0 for c in v):
+    if not any(map(_exact, v)):
         raise ValueError("v must be nonzero")
     if isinstance(rep, TorusWeights):
         if arc.size != rep.rank:
@@ -537,7 +540,7 @@ def image_order(rep: Representation, arc: Arc, v: Sequence[Fraction]):
         if len(v) != rep.dim:
             raise ValueError("vector length does not match the representation")
         return min(
-            sum(map(operator.mul, chi, vals)) for chi, c in zip(rep.weights, v) if Fraction(c)
+            sum(map(operator.mul, chi, vals)) for chi, c in zip(rep.weights, v) if _exact(c)
         )
     if isinstance(rep, MatrixAction):
         if arc.size != rep.group.size:
@@ -562,7 +565,7 @@ def image_order(rep: Representation, arc: Arc, v: Sequence[Fraction]):
 def mu_from_order(ord_v, rep_w: Representation, w: Sequence[Fraction], arc: Arc):
     """Arc weight ord0(arc.w) - ord_v, with ord_v = image_order(rep_v, arc, v);
     +infinity when w = 0."""
-    if all(Fraction(c) == 0 for c in w):
+    if not any(map(_exact, w)):
         return math.inf
     return image_order(rep_w, arc, w) - ord_v
 
@@ -581,16 +584,16 @@ def mu_weight(
     arc: Arc,
 ):
     """Arc weight ord0(arc.w) - ord0(arc.v); +infinity when w = 0."""
-    if all(Fraction(c) == 0 for c in v):
+    if not any(map(_exact, v)):
         raise ValueError("v must be nonzero")
-    if all(Fraction(c) == 0 for c in w):
+    if not any(map(_exact, w)):
         return math.inf
     return mu_from_order(image_order(rep_v, arc, v), rep_w, w, arc)
 
 
 def arc_norm(rep_v: Representation, v: Sequence[Fraction], arc: Arc):
     """ord0(arc.v) - deg(V) * ord0(arc), nonnegative for homogeneous actions."""
-    if all(Fraction(c) == 0 for c in v):
+    if not any(map(_exact, v)):
         raise ValueError("v must be nonzero")
     d = deg_of_rep(rep_v, arc.size)
     return norm_from_order(image_order(rep_v, arc, v), d, arc)

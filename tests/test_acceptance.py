@@ -54,8 +54,8 @@ from stabkit.locus import (
 )
 from stabkit.pairs import Pair, stability_interval, torus_semistable
 
-T1 = GroupPresentation.torus(1)
-GL2 = GroupPresentation.general_linear(2)
+T1 = GroupPresentation(1, "torus")
+GL2 = GroupPresentation(2, "general-linear")
 
 
 @contextmanager
@@ -420,7 +420,7 @@ def rank2_pair(weights_v, v, weights_w, w):
         TorusWeights(weights_w),
         [Fraction(c) for c in v],
         [Fraction(c) for c in w],
-        GroupPresentation.torus(2),
+        GroupPresentation(2, "torus"),
     )
 
 

@@ -17,6 +17,7 @@ from stabkit.groups import (
     GroupPresentation,
     MatrixAction,
     check_arc,
+    det_polynomial,
     diagonal_action,
     entry_variables,
     image_order,
@@ -24,13 +25,14 @@ from stabkit.groups import (
     sym_action,
 )
 
-SL2 = GroupPresentation.special_linear(2)
-GL2 = GroupPresentation.general_linear(2)
-TORI = {k: GroupPresentation.torus(k) for k in (1, 2, 3)}
+SL2 = GroupPresentation(2, "special-linear")
+GL2 = GroupPresentation(2, "general-linear")
+TORI = {k: GroupPresentation(k, "torus") for k in (1, 2, 3)}
 
 
 # Reference copies of the code before one evaluator served the image of a
-# vector and check_arc.
+# vector and check_arc.  ref_check_arc evaluates the group relations; the
+# check_arc it is compared with reads only the group's kind and det.
 def ref_power(base, n):
     """base ** n by repeated product, from the constant 1 of base's ring."""
     out = base.constant(1) if isinstance(base, LaurentPoly) else base.constant(base.variables, 1)
@@ -213,6 +215,25 @@ def drawn_arcs(draw, group):
     return arc
 
 
+@st.composite
+def off_group_arcs(draw, group):
+    """A drawn arc of the group made singular (a zero row), with its first
+    row scaled by a Laurent polynomial (det != 1 on SL, mostly), or with a
+    Laurent polynomial added off the diagonal (on a torus, mostly)."""
+    m = group.size
+    rows = [list(row) for row in draw(drawn_arcs(group)).matrix]
+    how = draw(st.sampled_from(["singular", "scaled", "off-diagonal"]))
+    if how == "singular":
+        rows[draw(st.integers(0, m - 1))] = [LaurentPoly.zero()] * m
+    elif how == "scaled" or m == 1:
+        c = draw(laurents)
+        rows[0] = [e * c for e in rows[0]]
+    else:
+        i, j = draw(st.permutations(range(m)))[:2]
+        rows[i][j] = rows[i][j] + draw(laurents)
+    return Arc(rows)
+
+
 def free_arcs(m):
     """Any matrix of small Laurent polynomials, zero entries and zero
     determinants included."""
@@ -312,23 +333,46 @@ class TestImageOrder:
         assert outcome(image_order, action, arc, vector) == want
 
 
+CHECK_ARC_GROUPS = [
+    GroupPresentation(m, kind)
+    for kind in ("torus", "special-linear", "general-linear")
+    for m in range(1, 5)
+]
+
+
 class TestCheckArc:
     @given(st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_check_arc_matches_reference(self, data):
-        group = data.draw(
-            st.sampled_from(
-                [
-                    *TORI.values(),
-                    SL2,
-                    GL2,
-                    GroupPresentation.special_linear(1),
-                    GroupPresentation.general_linear(3),
-                ]
+        group = data.draw(st.sampled_from(CHECK_ARC_GROUPS))
+        arc = data.draw(
+            st.one_of(
+                arcs_for(group),
+                off_group_arcs(group),
+                free_arcs(data.draw(st.integers(1, 4))),
             )
         )
-        arc = data.draw(st.one_of(arcs_for(group), free_arcs(data.draw(st.integers(1, 3)))))
         assert outcome(check_arc, group, arc) == outcome(ref_check_arc, group, arc)
+
+    def test_each_way_out_of_a_group_is_refused_like_the_reference(self):
+        t = LaurentPoly.t_power(1)
+        one, zero = LaurentPoly.constant(1), LaurentPoly.zero()
+        shear = Arc.elementary(4, 0, 3, t)
+        cases = [
+            ("torus", Arc.one_ps([1, -2, 0, 3]), True),
+            ("torus", Arc.one_ps([1, -2, 0, 3]) @ shear, False),
+            ("torus", Arc.diagonal_arc([t, one, zero, one]), False),
+            ("special-linear", Arc.one_ps([1, -2, 0, 1]) @ shear, True),
+            ("special-linear", Arc.one_ps([1, -2, 0, 3]), False),
+            ("special-linear", Arc.diagonal_arc([one, one, one, -one]), False),
+            ("special-linear", shear @ Arc.diagonal_arc([one, one, zero, one]), False),
+            ("general-linear", Arc.one_ps([1, -2, 0, 3]) @ shear, True),
+            ("general-linear", Arc.diagonal_arc([t, one, zero, one]), False),
+        ]
+        for kind, arc, inside in cases:
+            group = GroupPresentation(4, kind)
+            assert check_arc(group, arc) is inside
+            assert ref_check_arc(group, arc) is inside
 
 
 class TestRepWeights:
@@ -369,7 +413,19 @@ class TestSymAction:
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_torus_generators_match_reference(k):
-    got = GroupPresentation.torus(k).relations.generators
+    got = GroupPresentation(k, "torus").relations.generators
     want = ref_torus_generators(k)
     assert list(got) == want
+    assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("kind", ["special-linear", "general-linear"])
+def test_linear_group_generators_match_reference(kind, m):
+    # the relations the SL and GL constructors wrote before they were built lazily
+    variables = entry_variables(m)
+    det = det_polynomial(m, variables)
+    unit = MultiPoly.var(variables, INV_VAR) * det - 1
+    want = [det - 1, unit] if kind == "special-linear" else [unit]
+    got = GroupPresentation(m, kind).relations.generators
     assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]

@@ -220,7 +220,7 @@ class TestRun:
         assert "action matrix is not compatible with group multiplication" in err
 
     def test_matrix_action_matches_sym(self, tmp_path, capsys):
-        action = sym_action(GroupPresentation.general_linear(2), 2)
+        action = sym_action(GroupPresentation(2, "general-linear"), 2)
         entries = [[format_multi(p) for p in row] for row in action.matrix]
         reports = []
         for rep_v in ({"kind": "matrix", "entries": entries}, {"kind": "sym", "degree": 2}):
@@ -247,6 +247,78 @@ class TestRun:
         assert code == EXIT_INVALID
         assert out == ""
         assert "symmetric-power helper is for 2x2 groups" in err
+
+    @pytest.mark.parametrize("kind", ["special-linear", "general-linear"])
+    @pytest.mark.parametrize("job_kind", ["arcs.weight", "arcs.equiv", "pairs.falsify"])
+    def test_no_arc_or_falsifier_job_builds_the_determinant(
+        self, tmp_path, capsys, monkeypatch, kind, job_kind
+    ):
+        def no_determinant(*args):
+            raise AssertionError("determinant built")
+
+        monkeypatch.setattr(groups, "det_polynomial", no_determinant)
+        group = {"kind": kind, "size": 3}
+        standard = [[f"g{i}{j}" for j in (1, 2, 3)] for i in (1, 2, 3)]
+        shear = [["1", "t", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        if job_kind == "arcs.equiv":
+            payload = {"arc_a": shear, "arc_b": shear, "group": group}
+        else:
+            payload = {
+                "group": group,
+                "rep_v": {"kind": "matrix", "entries": standard},
+                "rep_w": {"kind": "trivial"},
+                "v": [1, 0, 2],
+                "w": [1],
+                "arc": shear,
+                "draws": 5,
+            }
+            del payload["draws" if job_kind == "arcs.weight" else "arc"]
+        job = {"schema_version": 1, "kind": job_kind, "payload": payload}
+        code, out, err = run_cli(tmp_path, capsys, job)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["kind"] == job_kind
+
+    @pytest.mark.parametrize(
+        "job_kind, group, arc, label",
+        [
+            ("arcs.weight", "special-linear", [["t", "0"], ["0", "t"]], "arc"),
+            ("arcs.weight", "torus", [["t", "1"], ["0", "1"]], "arc"),
+            ("arcs.weight", "general-linear", [["t", "t"], ["1", "1"]], "arc"),
+            ("arcs.equiv", "torus", [["t", "1"], ["0", "1"]], "arc_b"),
+        ],
+    )
+    def test_arcs_outside_the_group_are_refused(
+        self, tmp_path, capsys, job_kind, group, arc, label
+    ):
+        payload = {"group": {"kind": group, "size": 2}}
+        if job_kind == "arcs.equiv":
+            payload |= {"arc_a": [["t", "0"], ["0", "1"]], "arc_b": arc}
+        else:
+            trivial = {"kind": "trivial"}
+            payload |= {"rep_v": trivial, "rep_w": trivial, "v": [1], "w": [1], "arc": arc}
+        job = {"schema_version": 1, "kind": job_kind, "payload": payload}
+        code, out, err = run_cli(tmp_path, capsys, job)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == f"invalid job input: {label} does not satisfy the group relations\n"
+
+    def test_size_nine_arc_weight_builds_no_determinant(self, tmp_path, capsys, monkeypatch):
+        def no_determinant(*args):
+            raise AssertionError("determinant built")
+
+        monkeypatch.setattr(groups, "det_polynomial", no_determinant)
+        identity = [["1" if i == j else "0" for j in range(9)] for i in range(9)]
+        payload = {
+            "group": {"kind": "general-linear", "size": 9},
+            "rep_v": {"kind": "trivial"},
+            "rep_w": {"kind": "trivial"},
+            "v": [1],
+            "w": [1],
+            "arc": identity,
+        }
+        job = {"schema_version": 1, "kind": "arcs.weight", "payload": payload}
+        code, out, err = run_cli(tmp_path, capsys, job)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["values"] == {"mu": "0"}
 
     @pytest.mark.parametrize(
         "w_weight, verdict", [([1] * 9, "semistable"), ([2] * 9, "unstable")]

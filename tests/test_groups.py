@@ -26,21 +26,18 @@ from stabkit.groups import (
     diagonal_action,
     entry_variables,
     image_order,
+    mu_from_order,
     mu_weight,
     rep_weights,
     sym_action,
 )
 from stabkit.pairs import point_in_hull
 
-T2 = GroupPresentation.torus(2)
-SL2 = GroupPresentation.special_linear(2)
-GL2 = GroupPresentation.general_linear(2)
+T2 = GroupPresentation(2, "torus")
+SL2 = GroupPresentation(2, "special-linear")
+GL2 = GroupPresentation(2, "general-linear")
 
-KINDS = {
-    "torus": GroupPresentation.torus,
-    "special-linear": GroupPresentation.special_linear,
-    "general-linear": GroupPresentation.general_linear,
-}
+KINDS = ("torus", "special-linear", "general-linear")
 
 
 def sym_gl2_weights(d: int) -> TorusWeights:
@@ -57,6 +54,18 @@ def leibniz_det(ring, k: int) -> MultiPoly:
         for i, j in enumerate(perm):
             term = term * MultiPoly.var(ring, f"g{i + 1}{j + 1}")
         out = out + term
+    return out
+
+
+def cofactor_rational_det(matrix) -> Fraction:
+    """Determinant of a rational matrix by cofactor expansion along the
+    first row."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    out = Fraction(0)
+    for j, entry in enumerate(matrix[0]):
+        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        out += (-1) ** j * entry * cofactor_rational_det(minor)
     return out
 
 
@@ -116,9 +125,8 @@ class TestPresentations:
 
     def test_random_points_satisfy_relations(self):
         rng = random.Random(7)
-        for (kind, build), m in itertools.product(KINDS.items(), [1, 2, 3]):
-            group = build(m)
-            assert group.kind == kind
+        for kind, m in itertools.product(KINDS, [1, 2, 3]):
+            group = GroupPresentation(m, kind)
             det = det_polynomial(m, entry_variables(m)).extend(group.variables)
             for _ in range(5):
                 point = group.random_point(rng)
@@ -137,15 +145,15 @@ class TestPresentations:
             if i != j
         ]
         unit = MultiPoly.var(ring, INV_VAR) * leibniz_det(ring, k) - 1
-        assert GroupPresentation.torus(k).relations == Ideal(ring, off_diagonal + [unit])
+        assert GroupPresentation(k, "torus").relations == Ideal(ring, off_diagonal + [unit])
 
     def test_rank_nine_torus_has_a_two_term_unit_relation(self):
-        gens = GroupPresentation.torus(9).relations.generators
+        gens = GroupPresentation(9, "torus").relations.generators
         assert len(gens) == 73
         (unit,) = [g for g in gens if g.uses_variable(INV_VAR)]
         assert len(unit.terms) == 2
 
-    def test_each_constructor_builds_the_determinant_at_most_once(self, monkeypatch):
+    def test_only_relations_build_the_determinant_once_per_group(self, monkeypatch):
         calls = []
         original = groups.det_polynomial
 
@@ -154,10 +162,41 @@ class TestPresentations:
             return original(m, variables)
 
         monkeypatch.setattr(groups, "det_polynomial", counting)
+        built = [GroupPresentation(m, kind) for kind in KINDS for m in (3, 9)]
+        assert calls == []
         for kind, expected in (("torus", 0), ("special-linear", 1), ("general-linear", 1)):
+            group = GroupPresentation(3, kind)
             calls.clear()
-            KINDS[kind](3)
+            assert group.relations is group.relations
             assert len(calls) == expected
+        assert all(group.variables == tuple(entry_variables(group.size)) for group in built)
+
+    def test_equality_and_hash_read_size_and_kind(self, monkeypatch):
+        def no_groebner(*args, **kwargs):
+            raise AssertionError("Groebner basis computed")
+
+        monkeypatch.setattr(Ideal, "__eq__", no_groebner)
+        monkeypatch.setattr(Ideal, "__hash__", no_groebner)
+        for kind in KINDS:
+            group = GroupPresentation(3, kind)
+            assert group.relations.generators
+            assert group == GroupPresentation(3, kind)
+            assert hash(group) == hash(GroupPresentation(3, kind))
+            assert group != GroupPresentation(2, kind)
+            assert group.kind == kind and group.size == 3
+        assert len({GroupPresentation(m, kind) for kind in KINDS for m in (1, 2, 1)}) == 6
+
+    @pytest.mark.parametrize(
+        "size, kind, message",
+        [
+            (0, "torus", "matrix size must be positive"),
+            (10, "special-linear", "matrix size above 9 would make entry names ambiguous"),
+            (2, "unitary", "unknown group kind 'unitary'"),
+        ],
+    )
+    def test_bad_groups_are_refused_at_construction(self, size, kind, message):
+        with pytest.raises(ValueError, match=message):
+            GroupPresentation(size, kind)
 
     def test_torus_points_are_diagonal(self):
         point = T2.random_point(random.Random(3))
@@ -236,7 +275,7 @@ def library_actions() -> list[MatrixAction]:
     actions = [sym_action(group, d) for group in (SL2, GL2) for d in range(1, 9)]
     negative = {1: [(-2,), (3,)], 2: [(2, -1), (0, 3), (-2, -2)], 3: [(1, -1, 0), (-3, 2, 1)]}
     for k, weights in negative.items():
-        actions.append(diagonal_action(GroupPresentation.torus(k), weights))
+        actions.append(diagonal_action(GroupPresentation(k, "torus"), weights))
     actions.append(diagonal_action(T2, [(0, 0)]))
     actions += [MatrixAction(group, [[parse_multi("1", group.variables)]]) for group in (SL2, GL2)]
     return actions
@@ -254,6 +293,32 @@ class TestCheckAction:
         assert len(library_actions()) == 22
         with pytest.raises(AssertionError):
             check_action(sym_action(GL2, 1))
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_rational_determinant_matches_cofactor_expansion(self, m):
+        rng = random.Random(m)
+        for _ in range(60):
+            mat = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)]
+                for _ in range(m)
+            ]
+            if rng.random() < 0.3:  # a repeated row: singular
+                mat[-1] = list(mat[0])
+            assert groups._rational_det(mat) == cofactor_rational_det(mat)
+
+    @pytest.mark.parametrize("kind", ["general-linear", "special-linear", "torus"])
+    def test_large_matrix_actions_are_checked_without_cofactor_expansion(self, kind, monkeypatch):
+        def no_cofactors(*args):
+            raise AssertionError("cofactor determinant of a rational matrix")
+
+        monkeypatch.setattr(groups, "_det", no_cofactors)
+        group = GroupPresentation(8, kind)
+        entries = [
+            [MultiPoly.var(group.variables, f"g{i}{j}") for j in range(1, 9)] for i in range(1, 9)
+        ]
+        standard = MatrixAction(group, entries)
+        assert check_action(standard)
+        assert not check_action(MatrixAction(group, [[entries[0][0] + 1]]))
 
 
 class TestArcs:
@@ -332,6 +397,35 @@ class TestActionAndWeights:
         # y -> y + t*x: the image (t, 1) has order 0, and x alone stays at 0
         assert image_order(rep, uni, [Fraction(0), Fraction(1)]) == 0
         assert image_order(rep, uni @ one_ps(1, 1), [Fraction(1), Fraction(0)]) == 1
+
+    @pytest.mark.parametrize(
+        "rep",
+        [TorusWeights([(1,), (2,)]), diagonal_action(GroupPresentation(1, "torus"), [(1,), (2,)])],
+        ids=["weights", "matrix"],
+    )
+    def test_float_coordinates_are_refused_on_every_representation(self, rep):
+        arc = one_ps(1)
+        message = r"^float coefficient 0\.[01]; pass an int or a Fraction$"
+        calls = [
+            lambda: image_order(rep, arc, [0.1, 0]),
+            lambda: image_order(rep, arc, [1, 0.1]),
+            lambda: image_order(rep, arc, [0.0, 0]),
+            lambda: mu_weight(rep, rep, [0.1, 0], [1, 0], arc),
+            lambda: mu_weight(rep, rep, [0.0, 0], [1, 0], arc),
+            lambda: mu_weight(rep, rep, [1, 0], [0.1, 0], arc),
+            lambda: mu_weight(rep, rep, [1, 0], [0, 0.1], arc),
+            lambda: mu_weight(rep, rep, [1, 0], [0.0, 0], arc),
+            lambda: mu_from_order(0, rep, [0.1, 0], arc),
+            lambda: mu_from_order(0, rep, [0.0, 0], arc),
+            lambda: arc_norm(rep, [0.1, 0], arc),
+            lambda: arc_norm(rep, [1, 0.1], arc),
+            lambda: arc_norm(rep, [0.0, 0], arc),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=message):
+                call()
+        assert image_order(rep, arc, [Fraction(1, 10), 0]) == 1
+        assert image_order(rep, arc, [0, "1/3"]) == 2
 
     def test_mu_conventions(self):
         rep = TorusWeights([(1,)])

@@ -26,8 +26,8 @@ from stabkit.groups import (
     sym_action,
 )
 
-SL2 = GroupPresentation.special_linear(2)
-GL2 = GroupPresentation.general_linear(2)
+SL2 = GroupPresentation(2, "special-linear")
+GL2 = GroupPresentation(2, "general-linear")
 
 
 def ref_power(base: LaurentPoly, n: int) -> LaurentPoly:

@@ -199,8 +199,8 @@ class TestAgainstFractionKernel:
         assert all(type(c) is int and c for c in got.values())
 
 
-SL2 = GroupPresentation.special_linear(2)
-GL2 = GroupPresentation.general_linear(2)
+SL2 = GroupPresentation(2, "special-linear")
+GL2 = GroupPresentation(2, "general-linear")
 small = st.integers(min_value=-2, max_value=2)
 laurent_entries = st.dictionaries(small, nonzero_mixed, min_size=1, max_size=2).map(LaurentPoly)
 

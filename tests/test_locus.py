@@ -19,7 +19,7 @@ from stabkit.locus import (
 )
 from stabkit.pairs import Pair, torus_semistable
 
-T1 = GroupPresentation.torus(1)
+T1 = GroupPresentation(1, "torus")
 Y1 = ("x1", "y1")
 Y2 = ("x2", "y2")
 
@@ -175,7 +175,7 @@ class TestFamilies:
                 TorusWeights([(1,)]),
                 (parse_multi("b", self.BASE),),
                 (parse_multi("1", self.BASE),),
-                GroupPresentation.special_linear(2),
+                GroupPresentation(2, "special-linear"),
             )
 
     def test_unstable_locus_is_the_origin(self):

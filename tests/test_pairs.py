@@ -32,13 +32,13 @@ from stabkit.pairs import (
     torus_supports,
 )
 
-T1 = GroupPresentation.torus(1)
-T2 = GroupPresentation.torus(2)
+T1 = GroupPresentation(1, "torus")
+T2 = GroupPresentation(2, "torus")
 
 
 def torus_pair(weights_v, weights_w, v=None, w=None, rank=None):
     rank = rank if rank is not None else len(weights_v[0])
-    group = T1 if rank == 1 else GroupPresentation.torus(rank)
+    group = T1 if rank == 1 else GroupPresentation(rank, "torus")
     v = v if v is not None else [1] * len(weights_v)
     w = w if w is not None else [1] * len(weights_w)
     return Pair(TorusWeights(weights_v), TorusWeights(weights_w), v, w, group)
@@ -359,7 +359,7 @@ class TestFalsifier:
         assert sample_falsifier(pair) is None
 
     def test_matrix_group_destabilizer(self):
-        group = GroupPresentation.special_linear(2)
+        group = GroupPresentation(2, "special-linear")
         rep = sym_action(group, 4)
         triv = sym_action(group, 1)
         pair = Pair(rep, triv, [1, 0, 0, 0, 0], [0, 1], group)
