@@ -53,7 +53,6 @@ from .groups import (
     GroupPresentation,
     MatrixAction,
     TorusWeights,
-    arc_norm,
     arcs_equivalent,
     check_action,
     check_arc,
@@ -61,16 +60,14 @@ from .groups import (
     diagonal_action,
     image_order,
     mu_from_order,
-    mu_weight,
     norm_from_order,
     sym_action,
 )
 from .kstab import (
     Crease,
-    HilbCoeffs,
-    ModelNumbers,
     PLFunction,
     Polytope,
+    active_cells,
     df_invariant,
     model_norm,
     toric_df_data,
@@ -356,29 +353,16 @@ def _run_arcs_weight(payload: dict, budget: Budget, seed):
     arc = _build_arc(payload["arc"])
     if not check_arc(group, arc):
         raise ValueError("arc does not satisfy the group relations")
-    mu, norm = _mu_and_norm(rep_v, rep_w, _rats(payload["v"]), _rats(payload["w"]), arc)
+    # mu_weight and arc_norm of the arc, acting on v once; the norm is left
+    # out where it raises ValueError
+    ord_v = image_order(rep_v, arc, _rats(payload["v"]))
+    mu = mu_from_order(ord_v, rep_w, _rats(payload["w"]), arc)
     values = {"mu": "infinity" if mu is math.inf else format_rational(mu)}
-    if norm is not None:
-        values["norm"] = format_rational(norm)
-    return "ok", values, None
-
-
-def _mu_and_norm(rep_v, rep_w, v, w, arc):
-    """mu_weight and arc_norm of one arc, acting on v once; the norm is None
-    where arc_norm raises ValueError.  With w = 0, mu is +infinity without
-    acting on v, so only the norm needs arc.v."""
-    if not any(w):
-        mu = mu_weight(rep_v, rep_w, v, w, arc)
-        try:
-            return mu, arc_norm(rep_v, v, arc)
-        except ValueError:
-            return mu, None
-    ord_v = image_order(rep_v, arc, v)
-    mu = mu_from_order(ord_v, rep_w, w, arc)
     try:
-        return mu, norm_from_order(ord_v, deg_of_rep(rep_v, arc.size), arc)
+        values["norm"] = format_rational(norm_from_order(ord_v, deg_of_rep(rep_v, arc.size), arc))
     except ValueError:
-        return mu, None
+        pass
+    return "ok", values, None
 
 
 def _run_arcs_equiv(payload: dict, budget: Budget, seed):
@@ -465,14 +449,13 @@ def _run_locus_family(payload: dict, budget: Budget, seed):
 
 
 def _run_toric_hilb(payload: dict, budget: Budget, seed):
-    coeffs = toric_hilb(_build_polytope(payload["polytope"]))
-    values = {"a0": format_rational(coeffs.a0), "a1": format_rational(coeffs.a1)}
-    return "ok", values, None
+    a0, a1 = toric_hilb(_build_polytope(payload["polytope"]))
+    return "ok", {"a0": format_rational(a0), "a1": format_rational(a1)}, None
 
 
 def _run_toric_df(payload: dict, budget: Budget, seed):
     P = _build_polytope(payload["polytope"])
-    data = toric_df_data(P, _build_pl(payload["pieces"], P.dim))
+    data = toric_df_data(P, active_cells(P, _build_pl(payload["pieces"], P.dim)))
     values = {
         "df": format_rational(data.df),
         "a0": format_rational(data.a0),
@@ -487,7 +470,7 @@ def _run_toric_df(payload: dict, budget: Budget, seed):
 
 def _run_toric_norm(payload: dict, budget: Budget, seed):
     P = _build_polytope(payload["polytope"])
-    norm = toric_minnorm(P, _build_pl(payload["pieces"], P.dim))
+    norm = toric_minnorm(P, active_cells(P, _build_pl(payload["pieces"], P.dim)))
     return "ok", {"minnorm": format_rational(norm)}, None
 
 
@@ -502,27 +485,23 @@ def _run_toric_uniform(payload: dict, budget: Budget, seed):
         "alpha": [format_rational(x) for x in res.alpha],
         "beta": [format_rational(x) for x in res.beta],
     }
-    cert = None if res.certificate is None else _pl_json(res.certificate)
-    return res.status, values, cert
+    return res.status, values, _pl_json(res.certificate)
 
 
 def _run_model_df(payload: dict, budget: Budget, seed):
-    a = HilbCoeffs(_rat(payload["a0"]), _rat(payload["a1"]))
-    b = ModelNumbers(_rat(payload["b0"]), _rat(payload["b1"]))
-    return "ok", {"df": format_rational(df_invariant(a, b))}, None
+    a0, a1, b0, b1 = (_rat(payload[key]) for key in ("a0", "a1", "b0", "b1"))
+    return "ok", {"df": format_rational(df_invariant(a0, a1, b0, b1))}, None
 
 
 def _run_model_norm(payload: dict, budget: Budget, seed):
-    b = ModelNumbers(
-        0,
-        0,
-        r=_rat(payload["r"]),
-        n=payload["n"],
-        l_mix=_rat(payload["l_mix"]),
-        l_top=_rat(payload["l_top"]),
-        vol_ln=_rat(payload["vol"]),
+    norm = model_norm(
+        _rat(payload["r"]),
+        payload["n"],
+        _rat(payload["l_mix"]),
+        _rat(payload["l_top"]),
+        _rat(payload["vol"]),
     )
-    return "ok", {"norm": format_rational(model_norm(b))}, None
+    return "ok", {"norm": format_rational(norm)}, None
 
 
 _HANDLERS = {

@@ -3,12 +3,12 @@
 Everything operates on Fraction coordinates.  A cell is its vertex list:
 `[(lo,), (hi,)]` for an interval, counterclockwise for a polygon.  Cells are
 cut by halfspaces with Sutherland-Hodgman clipping, which treats an interval
-as a two-vertex cycle, and measured by length or shoelace area.  Their
-moments (the integrals of 1 and of each coordinate) integrate affine
-functions exactly; boundary integrals walk the one-dimensional cells along
-each edge.  Alongside sit monotone-chain hulls and the lattice (normalized)
-measure on edges, where a segment between integer points has measure gcd of
-the coordinate differences.
+as a two-vertex cycle.  Their moments, the integrals of 1 and of each
+coordinate, are the one measure of a cell: the zeroth is its length or
+signed shoelace area, and together they integrate affine functions exactly.
+Alongside sit monotone-chain hulls and the lattice (normalized) measure on
+edges, where a segment between integer points has measure gcd of the
+coordinate differences.
 """
 
 from __future__ import annotations
@@ -40,26 +40,6 @@ def convex_hull_2d(points: Sequence[Point]) -> list[Point]:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
-
-
-def polygon_area(verts: Sequence[Point]) -> Fraction:
-    """Signed shoelace area; positive for counterclockwise order."""
-    n = len(verts)
-    if n < 3:
-        return Fraction(0)
-    s = Fraction(0)
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        s += x1 * y2 - x2 * y1
-    return s / 2
-
-
-def cell_measure(cell: Sequence[tuple]) -> Fraction:
-    """Length of an interval cell, signed area of a polygon cell."""
-    if cell and len(cell[0]) == 1:
-        return cell[-1][0] - cell[0][0]
-    return polygon_area(cell)
 
 
 def cell_moments(cell: Sequence[tuple]) -> tuple[Fraction, tuple[Fraction, ...]]:

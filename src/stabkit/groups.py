@@ -564,8 +564,12 @@ def image_order(rep: Representation, arc: Arc, v: Sequence[Fraction]):
 
 def mu_from_order(ord_v, rep_w: Representation, w: Sequence[Fraction], arc: Arc):
     """Arc weight ord0(arc.w) - ord_v, with ord_v = image_order(rep_v, arc, v);
-    +infinity when w = 0."""
+    +infinity when w = 0, which must still fit rep_w and the arc."""
     if not any(map(_exact, w)):
+        if isinstance(rep_w, TorusWeights) and arc.size != rep_w.rank:
+            raise ValueError("arc size does not match the torus rank")
+        if len(w) != rep_w.dim:
+            raise ValueError("vector length does not match the representation")
         return math.inf
     return image_order(rep_w, arc, w) - ord_v
 
@@ -584,10 +588,6 @@ def mu_weight(
     arc: Arc,
 ):
     """Arc weight ord0(arc.w) - ord0(arc.v); +infinity when w = 0."""
-    if not any(map(_exact, v)):
-        raise ValueError("v must be nonzero")
-    if not any(map(_exact, w)):
-        return math.inf
     return mu_from_order(image_order(rep_v, arc, v), rep_w, w, arc)
 
 

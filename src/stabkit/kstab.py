@@ -1,15 +1,17 @@
 """Donaldson-Futaki numerics and an exactly computable toric front-end.
 
-The abstract operations work on raw Hilbert-expansion coefficients and
-intersection numbers.  The toric layer instantiates them for lattice
-polytopes in dimensions one and two: the polytope supplies (a0, a1) through
-volume and lattice boundary measure, and a convex piecewise-linear function
-supplies (b0, b1) through exact integrals over the cells where each affine
-piece is active, from the cells' moments.  Boundary integrals walk the same
-one-dimensional cells along each edge of a polygon.  The sign dictionary
-b0 = -integral of f, b1 = -half the boundary integral makes the invariant
-vanish on constants and reproduce the classical toric functional up to a
-positive factor.
+The abstract operations take raw Hilbert-expansion coefficients and
+intersection numbers as plain rational arguments.  The toric layer
+instantiates them for lattice polytopes in dimensions one and two: the
+polytope supplies (a0, a1) through volume and lattice boundary measure, and a
+convex piecewise-linear function supplies (b0, b1) through exact integrals
+over the cells where each affine piece is active, from the cells' moments.
+`active_cells` clips each of those cells once; integrals, minima and the
+pruning of a certificate's idle pieces all read its list.  Boundary
+integrals walk the same one-dimensional cells along each edge of a polygon.
+The sign dictionary b0 = -integral of f, b1 = -half the boundary integral
+makes the invariant vanish on constants and reproduce the classical toric
+functional up to a positive factor.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .algebra.ideals import Budget
 from .algebra.multipoly import primitive
 from .geometry import (
     Point,
-    cell_measure,
     cell_moments,
     clip,
     convex_hull_2d,
@@ -32,63 +33,30 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class HilbCoeffs:
-    """Leading two coefficients of a Hilbert expansion in the exponent k."""
-
-    a0: Fraction
-    a1: Fraction
-
-    def __init__(self, a0, a1):
-        a0 = Fraction(a0)
-        a1 = Fraction(a1)
-        if a0 <= 0:
-            raise ValueError("leading Hilbert coefficient must be positive")
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "a1", a1)
+def df_invariant(a0, a1, b0, b1) -> Fraction:
+    """(b0*a1 - b1*a0) / a0^2, exactly, from the leading Hilbert coefficients
+    a0 > 0 and a1 and the degeneration-side coefficients b0 and b1."""
+    a0 = Fraction(a0)
+    if a0 <= 0:
+        raise ValueError("leading Hilbert coefficient must be positive")
+    return (Fraction(b0) * Fraction(a1) - Fraction(b1) * a0) / (a0 * a0)
 
 
-@dataclass(frozen=True)
-class ModelNumbers:
-    """Degeneration-side coefficients and optional intersection numbers."""
-
-    b0: Fraction
-    b1: Fraction
-    r: Fraction = Fraction(1)
-    n: int = 1
-    l_mix: Fraction | None = None
-    l_top: Fraction | None = None
-    vol_ln: Fraction | None = None
-
-    def __init__(self, b0, b1, r=1, n=1, l_mix=None, l_top=None, vol_ln=None):
-        r = Fraction(r)
-        if r <= 0:
-            raise ValueError("the exponent r must be positive")
-        n = int(n)
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
-        object.__setattr__(self, "b0", Fraction(b0))
-        object.__setattr__(self, "b1", Fraction(b1))
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "l_mix", None if l_mix is None else Fraction(l_mix))
-        object.__setattr__(self, "l_top", None if l_top is None else Fraction(l_top))
-        object.__setattr__(self, "vol_ln", None if vol_ln is None else Fraction(vol_ln))
-
-
-def df_invariant(a: HilbCoeffs, b: ModelNumbers) -> Fraction:
-    """(b0*a1 - b1*a0) / a0^2, exactly."""
-    return (b.b0 * a.a1 - b.b1 * a.a0) / (a.a0 * a.a0)
-
-
-def model_norm(b: ModelNumbers) -> Fraction:
-    """l_mix/((n+1)*vol) - l_top/((n+1)*r^n*vol) on explicit intersection data."""
-    if b.l_mix is None or b.l_top is None or b.vol_ln is None:
-        raise ValueError("model norm needs l_mix, l_top and the polarization volume")
-    if b.vol_ln == 0:
+def model_norm(r, n, l_mix, l_top, vol) -> Fraction:
+    """l_mix/((n+1)*vol) - l_top/((n+1)*r^n*vol) on explicit intersection
+    data: the exponent r > 0, the dimension n >= 1 and the polarization
+    volume vol != 0."""
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError("the exponent r must be positive")
+    n = int(n)
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    vol = Fraction(vol)
+    if vol == 0:
         raise ValueError("polarization volume must be nonzero")
-    n1 = b.n + 1
-    return b.l_mix / (n1 * b.vol_ln) - b.l_top / (n1 * b.r**b.n * b.vol_ln)
+    n1 = n + 1
+    return Fraction(l_mix) / (n1 * vol) - Fraction(l_top) / (n1 * r**n * vol)
 
 
 class Polytope:
@@ -121,7 +89,7 @@ class Polytope:
         return self.vertices[0][0], self.vertices[1][0]
 
     def volume(self) -> Fraction:
-        return cell_measure(self.vertices)
+        return cell_moments(self.vertices)[0]
 
     def boundary_measure(self) -> Fraction:
         """Sum of lattice-normalized facet measures."""
@@ -179,17 +147,6 @@ class PLFunction:
         self.dim = dim
         self.pieces = tuple(seen)
 
-    @classmethod
-    def on(cls, P: Polytope, pieces: Sequence) -> "PLFunction":
-        """Construct and drop pieces never active on a positive-measure set."""
-        f = cls(P.dim, pieces)
-        kept = [
-            piece
-            for i, piece in enumerate(f.pieces)
-            if cell_measure(_active_cell(P, f.pieces, i)) > 0
-        ]
-        return cls(P.dim, kept) if kept else f
-
     def value(self, p: Sequence[Fraction]) -> Fraction:
         return max(affine_value(piece, p) for piece in self.pieces)
 
@@ -201,32 +158,43 @@ class PLFunction:
     __hash__ = None
 
 
-def _active_cell(P: Polytope, pieces, i) -> list[tuple]:
-    """Vertices of the closed cell where piece i is the maximum; [] if empty."""
-    cell = list(P.vertices)
-    gi, ci = pieces[i]
-    for j, (gj, cj) in enumerate(pieces):
-        if j == i:
-            continue
-        cell = clip(cell, [a - b for a, b in zip(gi, gj)], cj - ci)
-        if not cell:
-            break
-    return cell
+Cells = list[tuple[Affine, list[tuple]]]
 
 
-def integrate_pl(P: Polytope, f: PLFunction) -> Fraction:
-    """Exact integral of a convex PL function over the polytope.
+def active_cells(P: Polytope, f: PLFunction) -> Cells:
+    """(piece, active cell) for each piece of f whose closed active cell, the
+    part of P where the piece is the maximum, is nonempty.
+
+    Each cell is clipped out of P once; the integral, the minimum and the
+    pruning of pieces all read this one list.
+    """
+    if f.dim != P.dim:
+        raise ValueError("function dimension does not match the polytope")
+    out = []
+    for i, (gi, ci) in enumerate(f.pieces):
+        cell = list(P.vertices)
+        for j, (gj, cj) in enumerate(f.pieces):
+            if j != i:
+                cell = clip(cell, [a - b for a, b in zip(gi, gj)], cj - ci)
+                if not cell:
+                    break
+        if cell:
+            out.append(((gi, ci), cell))
+    return out
+
+
+def integrate_pl(cells: Cells) -> Fraction:
+    """Exact integral of a convex PL function over the polytope, from its
+    active cells.
 
     Each piece integrates over its closed active cell through the cell's
     moments.  Cells where two distinct pieces tie have measure zero, and
     their moments are exactly zero, so the sum is exact.
     """
     total = Fraction(0)
-    for i, (grad, const) in enumerate(f.pieces):
-        cell = _active_cell(P, f.pieces, i)
-        if cell:
-            m0, m1 = cell_moments(cell)
-            total += const * m0 + sum(g * m for g, m in zip(grad, m1))
+    for (grad, const), cell in cells:
+        m0, m1 = cell_moments(cell)
+        total += const * m0 + sum(g * m for g, m in zip(grad, m1))
     return total
 
 
@@ -248,21 +216,21 @@ def boundary_integral_pl(P: Polytope, f: PLFunction) -> Fraction:
     for a, b in P.edges():
         ends = [(affine_value(p, a), affine_value(p, b)) for p in f.pieces]
         restricted = PLFunction(1, [((fb - fa,), fa) for fa, fb in ends])
-        total += lattice_edge_length(a, b) * integrate_pl(UNIT, restricted)
+        total += lattice_edge_length(a, b) * integrate_pl(active_cells(UNIT, restricted))
     return total
 
 
-def minimum_pl(P: Polytope, f: PLFunction) -> Fraction:
-    """Exact minimum over the polytope, via the active-cell vertices."""
-    corners = [p for i in range(len(f.pieces)) for p in _active_cell(P, f.pieces, i)]
-    if not corners:
+def minimum_pl(cells: Cells) -> Fraction:
+    """Exact minimum over the polytope, at the active-cell vertices, where
+    each cell's piece is the function's value."""
+    if not cells:
         raise AssertionError("no active cell found for a nonempty polytope")
-    return min(f.value(p) for p in corners)
+    return min(affine_value(piece, p) for piece, cell in cells for p in cell)
 
 
-def toric_hilb(P: Polytope) -> HilbCoeffs:
-    """Volume and half the lattice boundary measure."""
-    return HilbCoeffs(P.volume(), P.boundary_measure() / 2)
+def toric_hilb(P: Polytope) -> tuple[Fraction, Fraction]:
+    """(a0, a1): the volume and half the lattice boundary measure."""
+    return P.volume(), P.boundary_measure() / 2
 
 
 @dataclass(frozen=True)
@@ -278,28 +246,21 @@ class ToricDFData:
     boundary_integral_f: Fraction
 
 
-def toric_df_data(P: Polytope, f: PLFunction) -> ToricDFData:
-    if f.dim != P.dim:
-        raise ValueError("function dimension does not match the polytope")
-    integral = integrate_pl(P, f)
+def toric_df_data(P: Polytope, cells: Cells) -> ToricDFData:
+    """Invariant of the toric degeneration encoded by the function whose
+    active cells, `active_cells(P, f)`, are given."""
+    integral = integrate_pl(cells)
+    f = PLFunction(P.dim, [piece for piece, _ in cells])
     boundary = boundary_integral_pl(P, f)
-    a = toric_hilb(P)
-    b = ModelNumbers(-integral, -boundary / 2)
-    return ToricDFData(
-        df_invariant(a, b), a.a0, a.a1, b.b0, b.b1, integral, boundary
-    )
+    a0, a1 = toric_hilb(P)
+    b0, b1 = -integral, -boundary / 2
+    return ToricDFData(df_invariant(a0, a1, b0, b1), a0, a1, b0, b1, integral, boundary)
 
 
-def toric_df(P: Polytope, f: PLFunction) -> Fraction:
-    """Invariant of the toric degeneration encoded by the function."""
-    return toric_df_data(P, f).df
-
-
-def toric_minnorm(P: Polytope, f: PLFunction) -> Fraction:
-    """(average of f) - (minimum of f); zero exactly for constants."""
-    if f.dim != P.dim:
-        raise ValueError("function dimension does not match the polytope")
-    return integrate_pl(P, f) / P.volume() - minimum_pl(P, f)
+def toric_minnorm(P: Polytope, cells: Cells) -> Fraction:
+    """(average of f) - (minimum of f), from cells = active_cells(P, f);
+    zero exactly for constants."""
+    return integrate_pl(cells) / P.volume() - minimum_pl(cells)
 
 
 @dataclass(frozen=True)
@@ -327,7 +288,7 @@ class Crease:
 class UniformVerdict:
     status: str  # "fails-at-epsilon" | "holds-on-family"
     minimum: Fraction
-    certificate: PLFunction | None
+    certificate: PLFunction
     alpha: tuple[Fraction, ...]
     beta: tuple[Fraction, ...]
     df: Fraction
@@ -349,13 +310,15 @@ def _arrangement_vertices(P: Polytope, creases: Sequence[Crease]) -> list[tuple]
     return sorted({p for cell in cells for p in cell})
 
 
-def _family_function(
+def _certificate(
     P: Polytope, creases: Sequence[Crease], alpha: Sequence[Fraction], beta: Sequence[Fraction]
-) -> PLFunction:
-    """alpha . p plus nonnegative kink combinations, expanded to a max form.
+) -> tuple[PLFunction, Fraction, Fraction]:
+    """The family member alpha . p + sum of beta_k * max(0, crease_k), with
+    its invariant and its norm, from one pass over its active cells.
 
-    The sum of maxima max(0, g_k) distributes into a maximum over subsets of
-    the active creases.
+    The sum of maxima distributes into a maximum over subsets of the active
+    creases.  Pieces never active on a positive-measure set are dropped;
+    removing them changes neither the function nor the other pieces' cells.
     """
     active = [(c, b) for c, b in zip(creases, beta) if b != 0]
     pieces = []
@@ -368,7 +331,10 @@ def _family_function(
                     grad[i] += b * g
                 const -= b * c.offset
         pieces.append((tuple(grad), const))
-    return PLFunction.on(P, pieces)
+    cells = active_cells(P, PLFunction(P.dim, pieces))
+    cells = [(piece, cell) for piece, cell in cells if cell_moments(cell)[0] > 0]
+    cert = PLFunction(P.dim, [piece for piece, _ in cells])
+    return cert, toric_df_data(P, cells).df, toric_minnorm(P, cells)
 
 
 def toric_uniform_search(
@@ -407,7 +373,7 @@ def toric_uniform_search(
     # the value at each arrangement vertex
     basis = [PLFunction(dim, [(tuple(int(j == i) for j in range(dim)), 0)]) for i in range(dim)]
     basis += [PLFunction(dim, c.kink_pieces()) for c in creases]
-    data = [toric_df_data(P, f) for f in basis]
+    data = [toric_df_data(P, active_cells(P, f)) for f in basis]
     objective = [d.df for d in data]
     avg_row = [d.integral_f / vol for d in data]
     verts = _arrangement_vertices(P, creases)
@@ -451,9 +417,7 @@ def toric_uniform_search(
         best_x = primitive(best_x)
     alpha = tuple(best_x[:dim])
     beta = tuple(best_x[dim:])
-    cert = _family_function(P, creases, alpha, beta)
-    df = toric_df(P, cert)
-    norm = toric_minnorm(P, cert)
+    cert, df, norm = _certificate(P, creases, alpha, beta)
     if fails and not df < epsilon * norm:
         raise AssertionError("uniform-search certificate failed re-verification")
     status = "fails-at-epsilon" if fails else "holds-on-family"

@@ -41,7 +41,7 @@ from stabkit.groups import (
 from stabkit.kstab import (
     PLFunction,
     Polytope,
-    toric_df,
+    active_cells,
     toric_df_data,
     toric_minnorm,
     toric_uniform_search,
@@ -261,18 +261,26 @@ def pl(dim, *pieces):
     return PLFunction(dim, pieces)
 
 
+def df(P, f):
+    return toric_df_data(P, active_cells(P, f)).df
+
+
+def minnorm(P, f):
+    return toric_minnorm(P, active_cells(P, f))
+
+
 def test_a04_df_golden_values():
     hinge = pl(1, ((Fraction(0),), Fraction(0)), ((Fraction(2),), Fraction(-1)))
     with deadline(1.0):
-        assert toric_df(INTERVAL, hinge) == Fraction(1, 4)
+        assert df(INTERVAL, hinge) == Fraction(1, 4)
     with deadline(1.0):
-        assert toric_df(INTERVAL, pl(1, ((Fraction(0),), Fraction(7)))) == 0
-    with deadline(1.0):
-        coord = pl(2, ((Fraction(1), Fraction(0)), Fraction(0)))
-        assert toric_df(SIMPLEX, coord) == 0
+        assert df(INTERVAL, pl(1, ((Fraction(0),), Fraction(7)))) == 0
     with deadline(1.0):
         coord = pl(2, ((Fraction(1), Fraction(0)), Fraction(0)))
-        data = toric_df_data(WIDE_TRIANGLE, coord)
+        assert df(SIMPLEX, coord) == 0
+    with deadline(1.0):
+        coord = pl(2, ((Fraction(1), Fraction(0)), Fraction(0)))
+        data = toric_df_data(WIDE_TRIANGLE, active_cells(WIDE_TRIANGLE, coord))
         assert data.df == Fraction(1, 6)
         assert (data.a0, data.a1) == (1, 2)
         assert data.integral_f == Fraction(2, 3)
@@ -289,8 +297,8 @@ def test_a05_wide_triangle_destabilized():
         assert verdict.minnorm == Fraction(1, 3)
         cert = verdict.certificate
         assert cert.pieces == (((Fraction(0), Fraction(1)), Fraction(0)),)
-        assert toric_df(WIDE_TRIANGLE, cert) == Fraction(-1, 6)
-        assert toric_minnorm(WIDE_TRIANGLE, cert) == Fraction(1, 3)
+        assert df(WIDE_TRIANGLE, cert) == Fraction(-1, 6)
+        assert minnorm(WIDE_TRIANGLE, cert) == Fraction(1, 3)
 
 
 def test_a06_interval_fails_at_every_positive_epsilon():
@@ -303,8 +311,8 @@ def test_a06_interval_fails_at_every_positive_epsilon():
             assert verdict.alpha in ((Fraction(1),), (Fraction(-1),))
             cert = verdict.certificate
             assert len(cert.pieces) == 1
-            assert toric_df(INTERVAL, cert) == 0
-            assert toric_minnorm(INTERVAL, cert) == Fraction(1, 2)
+            assert df(INTERVAL, cert) == 0
+            assert minnorm(INTERVAL, cert) == Fraction(1, 2)
         assert toric_uniform_search(INTERVAL, [], Fraction(1, 10)).alpha == (Fraction(1),)
         held = toric_uniform_search(INTERVAL, [], Fraction(0))
         assert held.status == "holds-on-family"

@@ -8,26 +8,45 @@ each cell's area times the value at its centroid, and boundary integrals cut
 each edge at the pairwise breakpoints of the pieces and summed midpoint
 values.  A copy of that code lives here and every toric quantity built on
 the cells must agree with it exactly.
+
+The certificate of the uniform search used to be built by
+`PLFunction.on`, which clipped every cell to drop idle pieces, then measured
+by `toric_df` and `toric_minnorm`, which clipped them again.  A copy of that
+path, on the per-dimension code, is the reference for `kstab._certificate`.
 """
 
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stabkit.geometry import cell_measure, lattice_edge_length, polygon_area
+from stabkit.geometry import cell_moments, lattice_edge_length
 from stabkit.kstab import (
     Crease,
     PLFunction,
     Polytope,
-    _active_cell,
     _arrangement_vertices,
+    _certificate,
+    active_cells,
     affine_value,
     boundary_integral_pl,
     integrate_pl,
     minimum_pl,
+    toric_uniform_search,
 )
+
+
+def shoelace(verts):
+    """Signed area; positive for counterclockwise order, zero below three
+    vertices."""
+    if len(verts) < 3:
+        return Fraction(0)
+    s = Fraction(0)
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+        s += x1 * y2 - x2 * y1
+    return s / 2
 
 
 def old_clip_interval(lo, hi, coeff, offset):
@@ -110,7 +129,13 @@ def old_cell_measure(P, pieces, i):
         seg = old_active_cell_1d(P, pieces, i)
         return Fraction(0) if seg is None else seg[1] - seg[0]
     cell = old_active_cell_2d(P, pieces, i)
-    return polygon_area(cell) if len(cell) >= 3 else Fraction(0)
+    return shoelace(cell) if len(cell) >= 3 else Fraction(0)
+
+
+def old_cell_is_empty(P, pieces, i):
+    if P.dim == 1:
+        return old_active_cell_1d(P, pieces, i) is None
+    return not old_active_cell_2d(P, pieces, i)
 
 
 def old_on(P, pieces):
@@ -120,7 +145,7 @@ def old_on(P, pieces):
 
 
 def polygon_centroid(verts):
-    a = polygon_area(verts)
+    a = shoelace(verts)
     if a == 0:
         raise ValueError("centroid of a degenerate polygon")
     cx = Fraction(0)
@@ -145,9 +170,9 @@ def old_integrate_pl(P, f):
             total += (seg[1] - seg[0]) * affine_value(piece, ((seg[0] + seg[1]) / 2,))
         else:
             cell = old_active_cell_2d(P, f.pieces, i)
-            if len(cell) < 3 or polygon_area(cell) == 0:
+            if len(cell) < 3 or shoelace(cell) == 0:
                 continue
-            total += polygon_area(cell) * affine_value(piece, polygon_centroid(cell))
+            total += shoelace(cell) * affine_value(piece, polygon_centroid(cell))
     return total
 
 
@@ -188,6 +213,44 @@ def old_minimum_pl(P, f):
             if best is None or v < best:
                 best = v
     return best
+
+
+def old_family_pieces(creases, alpha, beta):
+    """alpha . p + sum of beta_k * max(0, crease_k) as a maximum over the
+    subsets of the creases with beta_k != 0."""
+    active = [(c, b) for c, b in zip(creases, beta) if b != 0]
+    pieces = []
+    for chosen in itertools.product((False, True), repeat=len(active)):
+        grad = list(alpha)
+        const = Fraction(0)
+        for (c, b), take in zip(active, chosen):
+            if take:
+                grad = [g + b * n for g, n in zip(grad, c.normal)]
+                const -= b * c.offset
+        pieces.append((tuple(grad), const))
+    return pieces
+
+
+def old_volume(P):
+    if P.dim == 1:
+        lo, hi = P.interval
+        return hi - lo
+    return shoelace(list(P.vertices))
+
+
+def old_df(P, f):
+    a0, a1 = old_volume(P), P.boundary_measure() / 2
+    b0, b1 = -old_integrate_pl(P, f), -old_boundary_integral_pl(P, f) / 2
+    return (b0 * a1 - b1 * a0) / (a0 * a0)
+
+
+def old_minnorm(P, f):
+    return old_integrate_pl(P, f) / old_volume(P) - old_minimum_pl(P, f)
+
+
+def old_certificate(P, creases, alpha, beta):
+    cert = old_on(P, old_family_pieces(creases, alpha, beta))
+    return cert.pieces, old_df(P, cert), old_minnorm(P, cert)
 
 
 def old_arrangement_vertices(P, creases):
@@ -301,11 +364,14 @@ class TestAgainstPerDimensionCode:
     def test_cells_integrals_and_minima(self, case):
         P, raw, _ = case
         f = PLFunction(P.dim, raw)
-        for i in range(len(f.pieces)):
-            assert cell_measure(_active_cell(P, f.pieces, i)) == old_cell_measure(P, f.pieces, i)
-        assert integrate_pl(P, f) == old_integrate_pl(P, f)
-        assert minimum_pl(P, f) == old_minimum_pl(P, f)
-        assert PLFunction.on(P, raw).pieces == old_on(P, raw).pieces
+        cells = active_cells(P, f)
+        nonempty = [p for i, p in enumerate(f.pieces) if not old_cell_is_empty(P, f.pieces, i)]
+        assert [piece for piece, _ in cells] == nonempty
+        for piece, cell in cells:
+            i = f.pieces.index(piece)
+            assert cell_moments(cell)[0] == old_cell_measure(P, f.pieces, i)
+        assert integrate_pl(cells) == old_integrate_pl(P, f)
+        assert minimum_pl(cells) == old_minimum_pl(P, f)
 
     @given(cases())
     @settings(max_examples=300, deadline=None)
@@ -327,3 +393,53 @@ class TestAgainstPerDimensionCode:
         f = PLFunction(2, [((1, 0), 0), ((1, 1), 0)])
         assert boundary_integral_pl(square, f) == 4
         assert boundary_integral_pl(square, f) == old_boundary_integral_pl(square, f)
+
+
+@st.composite
+def certificate_cases(draw):
+    """A polytope, creases, and family coefficients with some beta_k != 0."""
+    P, _, cs = draw(cases())
+    alpha = draw(st.lists(small, min_size=P.dim, max_size=P.dim))
+    weights = st.sampled_from([0, 0, 1, 2, 3, Fraction(1, 2)])
+    beta = draw(st.lists(weights, min_size=len(cs), max_size=len(cs)))
+    assume(any(beta))
+    return P, cs, alpha, beta
+
+
+def crease_list(*creases):
+    return [Crease(normal, Fraction(offset)) for normal, offset in creases]
+
+
+# (polytope, creases) whose uniform search ends with some beta_k != 0
+MULTI_PIECE_SEARCHES = [
+    (
+        Polytope(2, [(-2, -2), (2, -3), (2, 2)]),
+        crease_list(((-1, -1), -3), ((-1, -1), -2)),
+    ),
+    (
+        Polytope(2, [(-3, 4), (3, -2), (4, 4)]),
+        crease_list(((1, 0), "1/2"), ((-1, -1), -2)),
+    ),
+    (
+        Polytope(2, [(-3, -4), (4, -2), (4, 0), (-2, 2)]),
+        crease_list(((1, 1), 1), ((-1, 1), -2)),
+    ),
+]
+
+
+class TestCertificateAgainstTheDeletedPath:
+    @given(certificate_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_pieces_df_and_minnorm(self, case):
+        P, cs, alpha, beta = case
+        cert, df, norm = _certificate(P, cs, alpha, beta)
+        assert (cert.pieces, df, norm) == old_certificate(P, cs, alpha, beta)
+
+    @pytest.mark.parametrize("P, cs", MULTI_PIECE_SEARCHES)
+    @pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1, 10)])
+    def test_uniform_search_with_kinks(self, P, cs, epsilon):
+        verdict = toric_uniform_search(P, cs, epsilon)
+        assert any(verdict.beta)
+        assert len(verdict.certificate.pieces) > 1
+        got = (verdict.certificate.pieces, verdict.df, verdict.minnorm)
+        assert got == old_certificate(P, cs, verdict.alpha, verdict.beta)

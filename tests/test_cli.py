@@ -301,6 +301,40 @@ class TestRun:
         assert (code, out) == (EXIT_INVALID, "")
         assert err == f"invalid job input: {label} does not satisfy the group relations\n"
 
+    @pytest.mark.parametrize("w_value", [0, 1])
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"v": [1, 1, 1]}, "vector length does not match the representation"),
+            (
+                {"rep_v": {"kind": "torus-weights", "weights": [[1], [2]]}},
+                "arc size does not match the torus rank",
+            ),
+            (
+                {"rep_w": {"kind": "torus-weights", "weights": [[1]]}},
+                "arc size does not match the torus rank",
+            ),
+            ({"w": [1, 1]}, "vector length does not match the representation"),
+        ],
+        ids=["v-length", "v-rank", "w-rank", "w-length"],
+    )
+    def test_malformed_arc_weight_is_refused_whatever_w_is(
+        self, tmp_path, capsys, change, message, w_value
+    ):
+        payload = {
+            "group": {"kind": "torus", "size": 2},
+            "rep_v": {"kind": "torus-weights", "weights": [[1, 0], [0, 1]]},
+            "rep_w": {"kind": "torus-weights", "weights": [[1, 1]]},
+            "v": [1, 1],
+            "w": [1],
+            "arc": [["t", "0"], ["0", "t"]],
+        } | change
+        payload["w"] = [w_value] * len(payload["w"])
+        job = {"schema_version": 1, "kind": "arcs.weight", "payload": payload}
+        code, out, err = run_cli(tmp_path, capsys, job)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == f"invalid job input: {message}\n"
+
     def test_size_nine_arc_weight_builds_no_determinant(self, tmp_path, capsys, monkeypatch):
         def no_determinant(*args):
             raise AssertionError("determinant built")

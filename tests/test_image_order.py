@@ -213,7 +213,14 @@ class TestAgainstAct:
         ord_v = data.draw(small)
         got = outcome(mu_from_order, ord_v, rep, w, arc)
         if all(Fraction(c) == 0 for c in w):
-            assert got is math.inf
+            # a zero w must still fit the representation and the arc
+            if isinstance(rep, TorusWeights) and arc.size != rep.rank:
+                assert got == ("raised", ValueError, "arc size does not match the torus rank")
+            elif len(w) != rep.dim:
+                message = "vector length does not match the representation"
+                assert got == ("raised", ValueError, message)
+            else:
+                assert got is math.inf
         else:
             want = outcome(ref_image_order, rep, arc, w)
             assert got == (want if isinstance(want, tuple) else want - ord_v)

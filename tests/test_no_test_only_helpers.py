@@ -1,11 +1,11 @@
-"""Every public function and method, and every private module-level
-function and class, of the package is used by the package.
+"""Every module-level function and class and every public method of the
+package is used by the package.
 
 A helper that only tests call is dead weight: it has to be kept correct and
-read, yet no job ever runs it.  A module-level function, or a private
-module-level class, counts as used when its name appears as a whole word on
-some line of `src/stabkit` other than its own `def` or `class` line, an
-import statement or an `__init__.py`.  A public non-dunder method of a class
+read, yet no job ever runs it.  A module-level function or class counts as
+used when its name appears as a whole word on some line of `src/stabkit`
+other than its own `def` or `class` line, an import statement or an
+`__init__.py`.  A public non-dunder method of a class
 counts as used when `.name` appears on such a line.
 """
 
@@ -40,24 +40,19 @@ def _usable_lines() -> list[tuple[Path, int, str]]:
     return out
 
 
+def _module_names(kinds, private: bool) -> list[tuple[Path, int, str]]:
+    """(file, def line, name) of every module-level definition of the given
+    ast kinds whose name does, or does not, start with an underscore."""
+    out = []
+    for path, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, kinds) and node.name.startswith("_") == private:
+                out.append((path, node.lineno, node.name))
+    return out
+
+
 def _public_functions() -> list[tuple[Path, int, str]]:
-    out = []
-    for path, tree in _modules():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                out.append((path, node.lineno, node.name))
-    return out
-
-
-def _private_module_names() -> list[tuple[Path, int, str]]:
-    """(file, def line, name) of every module-level function or class whose
-    name starts with an underscore."""
-    out = []
-    for path, tree in _modules():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
-                out.append((path, node.lineno, node.name))
-    return out
+    return _module_names(ast.FunctionDef, private=False)
 
 
 def _public_methods() -> list[tuple[Path, int, str, str]]:
@@ -93,8 +88,14 @@ def test_every_public_function_has_a_caller_in_the_package():
     assert _unused(defs, lambda name: rf"\b{name}\b") == []
 
 
+def test_every_public_class_has_a_caller_in_the_package():
+    defs = [(p, n, name, name) for p, n, name in _module_names(ast.ClassDef, private=False)]
+    assert _unused(defs, lambda name: rf"\b{name}\b") == []
+
+
 def test_every_private_function_and_class_is_used_in_the_package():
-    defs = [(p, n, name, name) for p, n, name in _private_module_names()]
+    private = _module_names((ast.FunctionDef, ast.ClassDef), private=True)
+    defs = [(p, n, name, name) for p, n, name in private]
     assert _unused(defs, lambda name: rf"\b{name}\b") == []
 
 
