@@ -64,10 +64,11 @@ class Polytope:
 
     One-dimensional polytopes are intervals [lo, hi]; two-dimensional ones
     store their hull vertices counterclockwise.  Either way the vertices form
-    a cell in the sense of `geometry`.
+    a cell in the sense of `geometry`.  The volume and the boundary measure
+    are computed on first use and kept.
     """
 
-    __slots__ = ("dim", "vertices")
+    __slots__ = ("dim", "vertices", "_volume", "_boundary")
 
     def __init__(self, dim: int, vertices: Sequence[Sequence[Fraction]]):
         if dim == 1:
@@ -83,23 +84,26 @@ class Polytope:
         else:
             raise ValueError("only dimensions 1 and 2 are supported")
         self.dim = dim
+        self._volume = self._boundary = None
 
     @property
     def interval(self) -> tuple[Fraction, Fraction]:
         return self.vertices[0][0], self.vertices[1][0]
 
     def volume(self) -> Fraction:
-        return cell_moments(self.vertices)[0]
+        if self._volume is None:
+            self._volume = cell_moments(self.vertices)[0]
+        return self._volume
 
     def boundary_measure(self) -> Fraction:
         """Sum of lattice-normalized facet measures."""
-        if self.dim == 1:
-            return Fraction(2)
-        total = Fraction(0)
-        n = len(self.vertices)
-        for i in range(n):
-            total += lattice_edge_length(self.vertices[i], self.vertices[(i + 1) % n])
-        return total
+        if self._boundary is None:
+            if self.dim == 1:
+                self._boundary = Fraction(2)
+            else:
+                edges = self.edges()
+                self._boundary = sum((lattice_edge_length(a, b) for a, b in edges), Fraction(0))
+        return self._boundary
 
     def edges(self) -> list[tuple[Point, Point]]:
         if self.dim != 2:

@@ -5,7 +5,8 @@ supports: a pair is semistable exactly when the hull of the w-support sits
 inside the hull of the v-support.  Both level-l conditions, semistability of
 the associated pair and the norm gap, ask whether mu >= c * norm on every
 one-parameter subgroup for one value of c, so one stability interval of such
-c, found by two LPs per cone of the refined normal fan, decides every level.
+c, found by two small Farkas LPs per cone of the refined normal fan, decides
+every level.
 Destabilizers and interval ends are re-verified through the arc-weight
 machinery before being returned.  For non-abelian groups only a seeded
 randomized falsifier is offered.
@@ -114,17 +115,6 @@ def point_in_hull(
     return res.x if res.status == linprog.OPTIMAL else None
 
 
-def _add_unit_box(a_ub: list, b_ub: list, k: int, width: int) -> None:
-    """Append the rows a_i <= 1 and -a_i <= 1 for each of the first k of
-    `width` LP variables."""
-    for i in range(k):
-        for sign in (1, -1):
-            row = [0] * width
-            row[i] = sign
-            a_ub.append(row)
-            b_ub.append(1)
-
-
 def separating_exponents(
     point: Sequence[int], support: Sequence[tuple[int, ...]]
 ) -> list[int]:
@@ -141,7 +131,10 @@ def separating_exponents(
     for q in support:  # level <= <a, q>
         a_ub.append([-q[i] for i in range(k)] + [1])
         b_ub.append(0)
-    _add_unit_box(a_ub, b_ub, k, n)
+    for i in range(k):  # the unit box: a_i <= 1 and -a_i <= 1
+        for sign in (1, -1):
+            a_ub.append([sign * (j == i) for j in range(n)])
+            b_ub.append(1)
     res = linprog.solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=[False] * n)
     if res.status != linprog.OPTIMAL or res.objective >= 0:
         raise ValueError("no separating exponent vector: point lies in the hull")
@@ -270,19 +263,22 @@ def stability_interval(pair: Pair) -> tuple[Fraction | float, Fraction | float] 
     Its associated pair at l is semistable exactly when -1/(l+1) does, since
     minima add over the Minkowski sums d*simplex + l*supp v and (l+1)*supp w.
 
-    Both are linear on each cone where chi_w, chi_v and coordinate i attain
-    the three minima.  There the upper end is min{mu : norm = 1} and the
-    lower end -min{mu : norm = -1}; an unbounded LP empties the interval and
-    an infeasible one bounds nothing.  A point with norm = 0 and mu < 0 would
-    make a feasible one of them unbounded, so only a cone inside norm = 0
-    needs a third LP, over the unit box.  Each finite end is re-verified at
-    its minimizer, scaled to a primitive integer exponent vector.
+    Both are linear on each cone K where chi_w, chi_v and coordinate i attain
+    the three minima, cut out by rows r with r.a <= 0.  By Farkas' lemma c is
+    valid on K exactly when mu - c * norm lies in the dual cone of K, that is
+    when sum lambda_r * r - c * norm = -mu for some lambda >= 0: one equation
+    per coordinate.  The least and the greatest c of that system are K's ends
+    of the interval; an unbounded LP leaves its end open and an infeasible
+    system empties the interval.  Each finite end is re-verified on the first
+    cone that attains it: by strong duality the primal LP min{mu : norm =
+    side, a in K} has optimum side * end, and at its minimizer, scaled to a
+    primitive integer exponent vector, the arc weight must agree.
     """
     supp_v, supp_w = torus_supports(pair)
     m = pair.rep_v.rank
     d = deg_of_rep(pair.rep_v, m)
-    lo, hi = -math.inf, math.inf
-    witness = {}
+    ends = {-1: -math.inf, 1: math.inf}  # the lower and the upper end
+    binding = {}
     for chi_w, chi_v in itertools.product(supp_w, supp_v):
         mu = [chi_w[j] - chi_v[j] for j in range(m)]
         minima = [[chi_w[j] - q[j] for j in range(m)] for q in supp_w]
@@ -292,32 +288,30 @@ def stability_interval(pair: Pair) -> tuple[Fraction | float, Fraction | float] 
                 [(j == i) - (j == k) for j in range(m)] for k in range(m) if k != i
             ]
             norm = [chi_v[j] - d * (j == i) for j in range(m)]
-            feasible = False
-            for side in (1, -1):
-                res = linprog.solve_lp(mu, cone, [0] * len(cone), [norm], [side], [False] * m)
-                if res.status == linprog.UNBOUNDED:
+            a_eq = [[r[j] for r in cone] + [-norm[j]] for j in range(m)]
+            nonneg = [True] * len(cone) + [False]
+            for side in (1, -1):  # maximize, then minimize c
+                cost = [0] * len(cone) + [-side]
+                res = linprog.solve_lp(cost, a_eq=a_eq, b_eq=[-x for x in mu], nonneg=nonneg)
+                if res.status == linprog.INFEASIBLE:
                     return None
                 if res.status == linprog.OPTIMAL:
-                    feasible = True
-                    end = side * res.objective
-                    if side == 1 and end < hi:
-                        hi, witness[side] = end, (end, res.x)
-                    elif side == -1 and end > lo:
-                        lo, witness[side] = end, (end, res.x)
-            if not feasible:
-                b_ub = [0] * len(cone)
-                _add_unit_box(cone, b_ub, m, m)
-                if linprog.solve_lp(mu, cone, b_ub, [norm], [0], [False] * m).objective < 0:
-                    return None
-            if lo > hi:
+                    end = -side * res.objective
+                    if side * end < side * ends[side]:
+                        ends[side], binding[side] = end, (mu, cone, norm)
+            if ends[-1] > ends[1]:
                 return None
-    for end, x in witness.values():
-        arc = Arc.one_ps(primitive(x))
+    for side, (mu, cone, norm) in binding.items():
+        end = ends[side]
+        res = linprog.solve_lp(mu, cone, [0] * len(cone), [norm], [side], [False] * m)
+        if res.status != linprog.OPTIMAL or side * res.objective != end:
+            raise AssertionError("stability interval end failed primal re-verification")
+        arc = Arc.one_ps(primitive(res.x))
         ord_v = image_order(pair.rep_v, arc, pair.v)
         mu_a = mu_from_order(ord_v, pair.rep_w, pair.w, arc)
         if mu_a != end * norm_from_order(ord_v, d, arc):
             raise AssertionError("stability interval end failed re-verification")
-    return lo, hi
+    return ends[-1], ends[1]
 
 
 def sample_falsifier(

@@ -228,8 +228,29 @@ class TestAgainstAct:
 
 T2 = TorusWeights([(1, -1), (0, 2)])
 ONE = [Fraction(1), Fraction(1)]
+
 # Both rows are g11 * (v1 - v2): the image of (1, 1) is zero.
 CANCELLING = MatrixAction(GL2, [[parse_multi(s, GL2.variables) for s in ("g11", "-g11")]] * 2)
+
+
+@pytest.mark.parametrize(
+    "rep, arc, w, message",
+    [
+        (T2, Arc.one_ps([1, 1]), [0, 0, 0], "vector length does not match the representation"),
+        (T2, Arc.one_ps([1, 1]), [0], "vector length does not match the representation"),
+        (
+            sym_action(SL2, 1),
+            Arc.identity(2),
+            [0, 0, Fraction(0)],
+            "vector length does not match the representation",
+        ),
+        (T2, Arc.one_ps([1]), [0, 0], "arc size does not match the torus rank"),
+        (T2, Arc.one_ps([1, 1, 1]), [0, 0], "arc size does not match the torus rank"),
+    ],
+)
+def test_a_zero_w_must_fit_the_representation_and_the_arc(rep, arc, w, message):
+    # w = 0 has weight +infinity without an image order, but is still checked
+    assert outcome(mu_from_order, 0, rep, w, arc) == ("raised", ValueError, message)
 
 
 @pytest.mark.parametrize(

@@ -331,3 +331,32 @@ class TestOneClipPass:
         assert cells == {2: 2}
         search = clips_of(clip_calls, toric_uniform_search, triangle, creases, Fraction(0))
         assert search[2] == arrangement[2] + sum(b[2] for b in basis) + cells[2]
+
+    def test_uniform_search_measures_the_polytope_once(self, monkeypatch):
+        # the invariant of each basis function and of the certificate reads
+        # the volume and the boundary measure, the average and the norm the
+        # volume again
+        triangle = Polytope(2, [(-2, -2), (2, -3), (2, 2)])
+        creases = [Crease((-1, -1), -3), Crease((-1, -1), -2)]
+        volumes, edges = [], []
+
+        def moments(cell):
+            volumes.append(cell is triangle.vertices)
+            return geometry.cell_moments(cell)
+
+        def edge_length(p, q):
+            edges.append((p, q))
+            return geometry.lattice_edge_length(p, q)
+
+        monkeypatch.setattr(kstab, "cell_moments", moments)
+        monkeypatch.setattr(kstab, "lattice_edge_length", edge_length)
+        first = toric_uniform_search(triangle, creases, Fraction(0))
+        assert volumes.count(True) == 1
+        first_edges = len(edges)
+        volumes.clear()
+        edges.clear()
+        assert toric_uniform_search(triangle, creases, Fraction(0)) == first
+        assert True not in volumes
+        # what the first search measured beyond the second is one pass over
+        # the boundary, and the boundary integrals of both are the same
+        assert first_edges - len(edges) == len(triangle.vertices)

@@ -1,4 +1,4 @@
-"""The stability interval against the per-level tests it replaced.
+"""The stability interval against the code it replaced.
 
 `pairs.stable` used to decide every level l = 1..max_level twice: a hull test
 on the associated pair (the Minkowski sums d*simplex + l*supp v and
@@ -6,18 +6,32 @@ on the associated pair (the Minkowski sums d*simplex + l*supp v and
 refined normal fan.  A copy of that code lives here, and the levels, least
 levels, verdicts and certificates that `pairs.stable` now reads off one
 interval must agree with it exactly.
+
+The interval itself used to come from two primal LPs per cone,
+min{mu : norm = +-1, a in the cone}, plus a third over the unit box for a
+cone inside norm = 0.  A copy of that loop lives here too, and the Farkas
+systems that replaced it must give the same interval on every pair.
 """
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabkit import cli, linprog
 from stabkit.cli import execute_job
-from stabkit.groups import deg_of_rep
-from stabkit.pairs import associated_pair, point_in_hull, torus_semistable, torus_supports
+from stabkit.groups import GroupPresentation, TorusWeights, deg_of_rep
+from stabkit.pairs import (
+    Pair,
+    associated_pair,
+    point_in_hull,
+    stability_interval,
+    torus_semistable,
+    torus_supports,
+)
 
 
 def old_torus_stable_at(pair, level):
@@ -164,3 +178,141 @@ def test_hull_test_disagreeing_with_the_interval_is_an_error(monkeypatch):
     with pytest.raises(AssertionError, match="stability interval"):
         execute_job(document)
 
+
+
+def old_primal_interval(pair):
+    """The interval from two primal LPs per cone and the unit-box LP."""
+    supp_v, supp_w = torus_supports(pair)
+    m = pair.rep_v.rank
+    d = deg_of_rep(pair.rep_v, m)
+    lo, hi = -math.inf, math.inf
+    for chi_w in supp_w:
+        for chi_v in supp_v:
+            mu = [chi_w[j] - chi_v[j] for j in range(m)]
+            minima = [[chi_w[j] - q[j] for j in range(m)] for q in supp_w]
+            minima += [[chi_v[j] - q[j] for j in range(m)] for q in supp_v]
+            for i in range(m):
+                cone = minima + [
+                    [(j == i) - (j == k) for j in range(m)] for k in range(m) if k != i
+                ]
+                norm = [chi_v[j] - d * (j == i) for j in range(m)]
+                feasible = False
+                for side in (1, -1):
+                    res = linprog.solve_lp(
+                        mu, cone, [0] * len(cone), [norm], [side], [False] * m
+                    )
+                    if res.status == linprog.UNBOUNDED:
+                        return None
+                    if res.status == linprog.OPTIMAL:
+                        feasible = True
+                        if side == 1:
+                            hi = min(hi, res.objective)
+                        else:
+                            lo = max(lo, -res.objective)
+                if not feasible:
+                    box = [[s * (j == k) for j in range(m)] for k in range(m) for s in (1, -1)]
+                    res = linprog.solve_lp(
+                        mu, cone + box, [0] * len(cone) + [1] * len(box), [norm], [0],
+                        [False] * m,
+                    )
+                    if res.objective < 0:
+                        return None
+                if lo > hi:
+                    return None
+    return lo, hi
+
+
+def torus_pair(weights_v, weights_w, v=None, w=None):
+    rank = len(weights_v[0])
+    return Pair(
+        TorusWeights(weights_v),
+        TorusWeights(weights_w),
+        v if v is not None else [1] * len(weights_v),
+        w if w is not None else [1] * len(weights_w),
+        GroupPresentation(rank, "torus"),
+    )
+
+
+@st.composite
+def torus_pairs(draw):
+    # mixed coordinate sums on V, so norm takes both signs, and negative
+    # weights on W (V has a scaling degree only without them); zero
+    # coordinates shrink the supports and w may vanish altogether
+    rank = draw(st.integers(min_value=1, max_value=4))
+    weight_w = st.tuples(*[st.integers(min_value=-1, max_value=3)] * rank)
+    weights_v = draw(st.lists(weights(rank), min_size=1, max_size=4))
+    weights_w = draw(st.lists(weight_w, min_size=1, max_size=3))
+    v = draw(st.lists(coordinates, min_size=len(weights_v), max_size=len(weights_v)))
+    if all(c == 0 for c in v):
+        v[0] = 1
+    w = draw(st.lists(coordinates, min_size=len(weights_w), max_size=len(weights_w)))
+    return torus_pair(weights_v, weights_w, [Fraction(c) for c in v], [Fraction(c) for c in w])
+
+
+@given(torus_pairs())
+@settings(max_examples=300, deadline=None)
+# empty: every cone lies in norm = 0 and mu < 0 there
+@example(torus_pair([(2,)], [(1,)]))
+# empty: a > 0 needs c >= -3/2 and a < 0 needs c <= -2
+@example(torus_pair([(3,), (2,), (1,)], [(4,)], [0, 1, 1]))
+# bounded above only, and bounded below only
+@example(torus_pair([(3, 1), (1, 3)], [(2, 2)]))
+@example(torus_pair([(2,), (1,)], [(1,)]))
+# a point
+@example(torus_pair([(3,), (1,)], [(2,)], [0, 1]))
+@example(torus_pair([(2, 3, 3), (0, 1, 0), (0, 2, 2)], [(0, 2, 0), (1, 3, 2)]))
+# w = 0
+@example(torus_pair([(3, 1), (1, 3)], [(4, 0)], w=[0]))
+def test_farkas_interval_matches_the_primal_loop(pair):
+    assert stability_interval(pair) == old_primal_interval(pair)
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """The pivot count of each LP solved, in order."""
+    solve_lp = linprog.solve_lp
+    counts = []
+
+    def counting(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        counts.append(res.pivots)
+        return res
+
+    monkeypatch.setattr(linprog, "solve_lp", counting)
+    return counts
+
+
+def pivots_of(counts, interval, pair):
+    counts.clear()
+    interval(pair)
+    return sum(counts)
+
+
+@pytest.mark.parametrize(
+    "pair, farkas, primal",
+    [
+        (torus_pair([(1, 3), (3, 1)], [(2, 2)]), 18, 55),
+        (torus_pair([(2, 3, 3), (0, 1, 0), (0, 2, 2)], [(0, 2, 0), (1, 3, 2)]), 196, 431),
+    ],
+)
+def test_farkas_systems_pivot_less_than_the_primal_loop(pivots, pair, farkas, primal):
+    # each primal LP has a row and an artificial per cone row; a Farkas
+    # system has one row per coordinate, and at most two primal LPs
+    # re-verify the ends
+    assert pivots_of(pivots, stability_interval, pair) == farkas
+    assert pivots_of(pivots, old_primal_interval, pair) == primal
+
+
+def test_a_witness_disagreeing_with_its_farkas_end_fails_reverification(monkeypatch):
+    # only the primal witness LPs have inequality rows; shift their optimum
+    solve_lp = linprog.solve_lp
+
+    def shifted(c, a_ub=(), *args, **kwargs):
+        res = solve_lp(c, a_ub, *args, **kwargs)
+        if a_ub and res.status == linprog.OPTIMAL:
+            res = dataclasses.replace(res, objective=res.objective + 1)
+        return res
+
+    monkeypatch.setattr(linprog, "solve_lp", shifted)
+    with pytest.raises(AssertionError, match="primal re-verification"):
+        stability_interval(torus_pair([(3, 1), (1, 3)], [(2, 2)]))
