@@ -10,6 +10,12 @@ without any perturbation.  With no equalities and a nonnegative right-hand
 side the slack basis is feasible and phase 1 is skipped.  Every pivot is
 metered against a Budget.  Problem sizes here are tiny (tens of variables),
 so no effort is spent on sparsity.
+
+A `Tableau` is built once from the constraints and runs phase 1 on its first
+`minimize`; each later `minimize` re-prices from the basis the last one left,
+which stays feasible, and runs phase 2 alone.  So several objectives over one
+system share its rows and its phase 1, and the final basis stays readable on
+the tableau.  `solve_lp` is one tableau and one `minimize`.
 """
 
 from __future__ import annotations
@@ -49,64 +55,7 @@ def solve_lp(
 
     `nonneg[i]` marks x_i >= 0; free variables are split internally.
     """
-    budget = Budget.coerce(budget)
-    n = len(c)
-    c = [_rational(v) for v in c]
-    if nonneg is None:
-        nonneg = [True] * n
-    if len(nonneg) != n:
-        raise ValueError("nonneg mask length mismatch")
-
-    # standard-form column layout: one column per nonneg variable, two per
-    # free variable (x = x+ - x-), then one slack per inequality
-    cols: list[tuple[int, int]] = []  # (original index, sign)
-    for i in range(n):
-        cols.append((i, 1))
-        if not nonneg[i]:
-            cols.append((i, -1))
-    n_struct = len(cols)
-    n_slack = len(a_ub)
-    width = n_struct + n_slack
-
-    rhs = [_rational(b_ub[k]) for k in range(n_slack)]
-    rhs += [_rational(b_eq[k]) for k in range(len(a_eq))]
-    # Without equalities a nonnegative right-hand side makes the slack basis
-    # feasible.  Otherwise each row is negated where its right-hand side is
-    # negative and gets an artificial basic column after the slacks.
-    slack_start = not a_eq and all(b >= 0 for b in rhs)
-    total = width if slack_start else width + len(rhs)
-    rows = []
-    basis = []
-    for k, row in enumerate(itertools.chain(a_ub, a_eq)):
-        if len(row) != n:
-            raise ValueError("constraint row length mismatch")
-        sign = -1 if rhs[k] < 0 else 1
-        values = [_rational(v) for v in row]
-        out = [values[i] * (s * sign) for i, s in cols]
-        out += [0] * (total - n_struct)
-        out.append(sign * rhs[k])
-        if k < n_slack:
-            out[n_struct + k] = sign
-        basis.append(n_struct + k if slack_start else width + k)
-        out[basis[-1]] = 1
-        rows.append(primitive(out))
-
-    tab = _Tableau(rows, basis, budget)
-    if not slack_start and tab.phase1(width) == INFEASIBLE:
-        return LPResult(INFEASIBLE, None, None, tab.pivots)
-    cost = [0] * width
-    for j, (i, s) in enumerate(cols):
-        cost[j] = c[i] if s > 0 else -c[i]
-    if tab.phase2(primitive(cost)) == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, None, tab.pivots)
-
-    x = [Fraction(0)] * n
-    for row, b in zip(tab.rows, tab.basis):
-        if b < n_struct:
-            i, s = cols[b]
-            x[i] += s * Fraction(row[-1], row[b])
-    obj = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return LPResult(OPTIMAL, x, obj, tab.pivots)
+    return Tableau(len(c), a_ub, b_ub, a_eq, b_eq, nonneg, budget).minimize(c)
 
 
 def _rational(v) -> int | Fraction:
@@ -128,19 +77,107 @@ def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
     return [v // g for v in out] if g > 1 else out
 
 
-class _Tableau:
-    """Integer rows, the basic column of each row, and the pivot count.
+class Tableau:
+    """The constraints a_ub.x <= b_ub, a_eq.x = b_eq over n variables, in
+    simplex form, for minimizing one objective after another.
 
-    Row i stands for the rational row rows[i] / rows[i][basis[i]]; the
-    reduced-cost rows handed to `_run` are positive multiples of the rational
-    ones, so only their signs are read.
+    `nonneg[i]` marks x_i >= 0.  The standard-form columns are one per
+    nonneg variable, two per free variable (x = x+ - x-), then one slack per
+    inequality.  Row i stands for the rational row rows[i] /
+    rows[i][basis[i]]; the reduced-cost rows handed to `_run` are positive
+    multiples of the rational ones, so only their signs are read.  `pivots`
+    counts every pivot made on the tableau.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int], budget: Budget):
+    def __init__(
+        self,
+        n: int,
+        a_ub: Sequence[Sequence] = (),
+        b_ub: Sequence = (),
+        a_eq: Sequence[Sequence] = (),
+        b_eq: Sequence = (),
+        nonneg: Sequence[bool] | None = None,
+        budget: Budget | int | None = None,
+    ):
+        self.budget = Budget.coerce(budget)
+        self.pivots = 0
+        if nonneg is None:
+            nonneg = [True] * n
+        if len(nonneg) != n:
+            raise ValueError("nonneg mask length mismatch")
+        if len(b_ub) != len(a_ub) or len(b_eq) != len(a_eq):
+            raise ValueError("right-hand side length mismatch")
+
+        cols: list[tuple[int, int]] = []  # (original index, sign)
+        for i in range(n):
+            cols.append((i, 1))
+            if not nonneg[i]:
+                cols.append((i, -1))
+        n_struct = len(cols)
+        n_slack = len(a_ub)
+        width = n_struct + n_slack
+
+        rhs = [_rational(b) for b in b_ub]
+        rhs += [_rational(b) for b in b_eq]
+        # Without equalities a nonnegative right-hand side makes the slack
+        # basis feasible.  Otherwise each row is negated where its right-hand
+        # side is negative and gets an artificial basic column after the
+        # slacks, and phase 1 has to run.
+        slack_start = not a_eq and all(b >= 0 for b in rhs)
+        total = width if slack_start else width + len(rhs)
+        rows = []
+        basis = []
+        for k, row in enumerate(itertools.chain(a_ub, a_eq)):
+            if len(row) != n:
+                raise ValueError("constraint row length mismatch")
+            sign = -1 if rhs[k] < 0 else 1
+            values = [_rational(v) for v in row]
+            out = [values[i] * (s * sign) for i, s in cols]
+            out += [0] * (total - n_struct)
+            out.append(sign * rhs[k])
+            if k < n_slack:
+                out[n_struct + k] = sign
+            basis.append(n_struct + k if slack_start else width + k)
+            out[basis[-1]] = 1
+            rows.append(primitive(out))
         self.rows = rows
         self.basis = basis
-        self.budget = budget
-        self.pivots = 0
+        self._n = n
+        self._cols = cols
+        self._width = width
+        # None until phase 1 has run, then OPTIMAL or INFEASIBLE
+        self._phase1_status = OPTIMAL if slack_start else None
+
+    def minimize(self, c: Sequence) -> LPResult:
+        """Minimize c.x, starting from the basis the previous call left.
+
+        The first call runs phase 1 where it is needed; an infeasible system
+        stays infeasible for every objective.  A basis left by an optimal or
+        an unbounded run is primal feasible, so each later call only
+        re-prices and runs phase 2.  The result counts this call's pivots.
+        """
+        if len(c) != self._n:
+            raise ValueError("objective length mismatch")
+        start = self.pivots
+        if self._phase1_status is None:
+            self._phase1_status = self._phase1()
+        if self._phase1_status == INFEASIBLE:
+            return LPResult(INFEASIBLE, None, None, self.pivots - start)
+        c = [_rational(v) for v in c]
+        cost = [0] * self._width
+        for j, (i, s) in enumerate(self._cols):
+            cost[j] = c[i] if s > 0 else -c[i]
+        if self._run(self._price(primitive(cost))) == UNBOUNDED:
+            return LPResult(UNBOUNDED, None, None, self.pivots - start)
+
+        x = [Fraction(0)] * self._n
+        n_struct = len(self._cols)
+        for row, b in zip(self.rows, self.basis):
+            if b < n_struct:
+                i, s = self._cols[b]
+                x[i] += Fraction(s * row[-1], row[b])
+        obj = sum((ci * xi for ci, xi in zip(c, x) if ci), Fraction(0))
+        return LPResult(OPTIMAL, x, obj, self.pivots - start)
 
     def _pivot(self, r: int, c: int):
         self.budget.spend()
@@ -186,12 +223,13 @@ class _Tableau:
             if red[enter]:
                 red = _eliminate(red, rows[leave], enter)
 
-    def phase1(self, width: int) -> str:
+    def _phase1(self) -> str:
         """Minimize the sum of the artificial columns width, width+1, ...
 
         On success the artificial columns are dropped and every row has a
         basic column below width.
         """
+        width = self._width
         m = len(self.rows)
         status = self._run(self._price([0] * width + [1] * m))
         if status != OPTIMAL:
@@ -214,6 +252,3 @@ class _Tableau:
         for row in self.rows:
             del row[width:-1]
         return OPTIMAL
-
-    def phase2(self, cost: list[int]) -> str:
-        return self._run(self._price(cost))

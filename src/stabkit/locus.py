@@ -314,9 +314,12 @@ def family_unstable_locus(
 
     Stratifies the base by which coordinates vanish, decides each stratum
     from its weight supports, and returns the closures of the unstable
-    strata (their union is exactly the unstable locus because semistability
-    is an open condition).  Strata where v vanishes identically name no pair
-    and are skipped.  One ideal per closed piece, absorbed and deduplicated.
+    strata, whose union is the closure of the unstable set.  That set is
+    itself closed while the w-support is constant on the base; where a
+    w-coordinate vanishes on a stratum it need not be, so the closure may
+    take in semistable fibers.  Strata where v vanishes identically name no
+    pair and are skipped.  One ideal per closed piece, absorbed and
+    deduplicated.
     """
     budget = Budget.coerce(budget)
     base = fam.base_vars

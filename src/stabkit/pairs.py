@@ -5,8 +5,8 @@ supports: a pair is semistable exactly when the hull of the w-support sits
 inside the hull of the v-support.  Both level-l conditions, semistability of
 the associated pair and the norm gap, ask whether mu >= c * norm on every
 one-parameter subgroup for one value of c, so one stability interval of such
-c, found by two small Farkas LPs per cone of the refined normal fan, decides
-every level.
+c decides every level.  It comes from one small Farkas system per cone of
+the refined normal fan: phase 1 once, then two objectives on its tableau.
 Destabilizers and interval ends are re-verified through the arc-weight
 machinery before being returned.  For non-abelian groups only a seeded
 randomized falsifier is offered.
@@ -267,12 +267,14 @@ def stability_interval(pair: Pair) -> tuple[Fraction | float, Fraction | float] 
     the three minima, cut out by rows r with r.a <= 0.  By Farkas' lemma c is
     valid on K exactly when mu - c * norm lies in the dual cone of K, that is
     when sum lambda_r * r - c * norm = -mu for some lambda >= 0: one equation
-    per coordinate.  The least and the greatest c of that system are K's ends
-    of the interval; an unbounded LP leaves its end open and an infeasible
-    system empties the interval.  Each finite end is re-verified on the first
-    cone that attains it: by strong duality the primal LP min{mu : norm =
-    side, a in K} has optimum side * end, and at its minimizer, scaled to a
-    primitive integer exponent vector, the arc weight must agree.
+    per coordinate.  The system is built once per cone, and after one
+    phase 1 two objectives on its tableau give the greatest and the least c,
+    K's ends of the interval; an unbounded objective leaves its end open and
+    an infeasible system empties the interval.  Each finite end is
+    re-verified on the first cone that attains it: by strong duality the
+    primal LP min{mu : norm = side, a in K} has optimum side * end, and at
+    its minimizer, scaled to a primitive integer exponent vector, the arc
+    weight must agree.
     """
     supp_v, supp_w = torus_supports(pair)
     m = pair.rep_v.rank
@@ -289,10 +291,12 @@ def stability_interval(pair: Pair) -> tuple[Fraction | float, Fraction | float] 
             ]
             norm = [chi_v[j] - d * (j == i) for j in range(m)]
             a_eq = [[r[j] for r in cone] + [-norm[j]] for j in range(m)]
-            nonneg = [True] * len(cone) + [False]
+            system = linprog.Tableau(
+                len(cone) + 1, a_eq=a_eq, b_eq=[-x for x in mu],
+                nonneg=[True] * len(cone) + [False],
+            )
             for side in (1, -1):  # maximize, then minimize c
-                cost = [0] * len(cone) + [-side]
-                res = linprog.solve_lp(cost, a_eq=a_eq, b_eq=[-x for x in mu], nonneg=nonneg)
+                res = system.minimize([0] * len(cone) + [-side])
                 if res.status == linprog.INFEASIBLE:
                     return None
                 if res.status == linprog.OPTIMAL:

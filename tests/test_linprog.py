@@ -56,6 +56,21 @@ class TestSolve:
         assert res.status == OPTIMAL
         assert res.objective == 2
 
+    @pytest.mark.parametrize(
+        "lp",
+        [
+            dict(a_eq=[[1]], b_eq=[2, 7]),
+            dict(a_eq=[[1]], b_eq=[]),
+            dict(a_ub=[[1]], b_ub=[2, 7]),
+            dict(a_ub=[[1], [2]], b_ub=[2]),
+        ],
+        ids=["long-b-eq", "short-b-eq", "long-b-ub", "short-b-ub"],
+    )
+    def test_right_hand_side_length_is_checked(self, lp):
+        # an extra entry used to be dropped and a missing one to raise IndexError
+        with pytest.raises(ValueError, match="right-hand side length"):
+            solve_lp([1], **lp)
+
     def test_budget_meter(self):
         with pytest.raises(BudgetError):
             solve_lp([-1, -1], a_ub=[[1, 2], [3, 1]], b_ub=[4, 6], budget=Budget(1))

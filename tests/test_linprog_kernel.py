@@ -5,7 +5,9 @@ replaced: phase 1 from an all-artificial basis on every LP, Bland's rule in
 both phases.  Where the kernel also runs phase 1 it must walk the same bases,
 so status, x, objective and pivot count all agree.  Where it starts from the
 slack basis instead, it may stop at a different optimal vertex, so only the
-status and objective must agree and x must be feasible.
+status and objective must agree and x must be feasible.  The same holds for
+a `Tableau` minimizing one objective after another against a fresh
+`solve_lp` per objective.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from stabkit import linprog, pairs
 from stabkit.algebra import Budget, BudgetError
-from stabkit.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
+from stabkit.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, Tableau, solve_lp
 
 # -- reference: the Fraction tableau -------------------------------------------
 
@@ -263,6 +265,84 @@ class TestAgainstFractionTableau:
         assert (got.status, got.objective) == (want.status, want.objective)
 
 
+# -- one tableau, several objectives ------------------------------------------
+
+
+@st.composite
+def reused_lps(draw):
+    """An LP and two or three objectives, the LP's own first: mostly negative
+    costs make that first one unbounded on many unboxed systems."""
+    lp = draw(st.booleans().flatmap(lambda slack_start: lps(slack_start)))
+    n = len(lp["c"])
+    cost = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=n, max_size=n)
+    return lp, [lp["c"]] + draw(st.lists(cost, min_size=1, max_size=2))
+
+
+def assert_reuse_matches_fresh_solves(lp, objectives):
+    budget = Budget()
+    tab = Tableau(len(lp["c"]), lp["a_ub"], lp["b_ub"], lp["a_eq"], lp["b_eq"], lp["nonneg"], budget)
+    results = [tab.minimize(c) for c in objectives]
+    for c, got in zip(objectives, results):
+        fresh = dict(lp, c=c)
+        want = solve_lp(**fresh)
+        reference = reference_solve_lp(**fresh)
+        assert (want.status, want.objective) == (reference.status, reference.objective)
+        assert (got.status, got.objective) == (want.status, want.objective)
+        if got.status == OPTIMAL:
+            assert_feasible(lp, got.x)
+            assert sum(Fraction(ci) * xi for ci, xi in zip(c, got.x)) == got.objective
+    assert sum(res.pivots for res in results) == tab.pivots == budget.used
+    return results
+
+
+class TestReusedTableau:
+    @given(reused_lps())
+    @settings(max_examples=300, deadline=None)
+    def test_each_objective_matches_a_fresh_solve(self, case):
+        assert_reuse_matches_fresh_solves(*case)
+
+    @pytest.mark.parametrize(
+        "lp, objectives, statuses",
+        [
+            # x - y = 1: -x is unbounded, then x and y are bounded below
+            (
+                dict(c=[-1, 0], a_ub=[], b_ub=[], a_eq=[[1, -1]], b_eq=[1], nonneg=[True, True]),
+                [[-1, 0], [1, 0], [0, 1]],
+                [UNBOUNDED, OPTIMAL, OPTIMAL],
+            ),
+            # x <= 2 from the slack basis: y has no upper bound, so -y is unbounded
+            (
+                dict(c=[0, -1], a_ub=[[1, 0]], b_ub=[2], a_eq=[], b_eq=[], nonneg=[True, True]),
+                [[0, -1], [-1, 0], [1, 1]],
+                [UNBOUNDED, OPTIMAL, OPTIMAL],
+            ),
+        ],
+        ids=["phase-1", "slack-start"],
+    )
+    def test_an_unbounded_objective_leaves_a_feasible_basis(self, lp, objectives, statuses):
+        results = assert_reuse_matches_fresh_solves(lp, objectives)
+        assert [res.status for res in results] == statuses
+
+    def test_an_infeasible_system_stays_infeasible(self):
+        # x + y = 1 and x - y = 3 force y = -1 < 0
+        lp = dict(c=[1, 0], a_ub=[], b_ub=[], a_eq=[[1, 1], [1, -1]], b_eq=[1, 3], nonneg=[True, True])
+        results = assert_reuse_matches_fresh_solves(lp, [[1, 0], [-1, 0], [0, 0]])
+        assert [res.status for res in results] == [INFEASIBLE] * 3
+        # phase 1 ran once, on the first objective
+        assert [res.pivots > 0 for res in results] == [True, False, False]
+
+    def test_phase_1_runs_once(self):
+        tab = Tableau(2, a_eq=[[1, 0], [0, 1]], b_eq=[1, 1])
+        first = tab.minimize([1, 1])
+        assert first.pivots == 2  # phase 1 only: its basis is already optimal
+        again = tab.minimize([-1, 1])
+        assert (again.status, again.objective, again.pivots) == (OPTIMAL, 0, 0)
+
+    def test_objective_length_is_checked(self):
+        with pytest.raises(ValueError, match="objective length"):
+            Tableau(2, a_ub=[[1, 1]], b_ub=[1]).minimize([1])
+
+
 # -- the shortcuts ---------------------------------------------------------------
 
 
@@ -315,3 +395,27 @@ class TestOneLPPerHullQuery:
         assert cert["separated_weight"] == [3, 3]
         # two contained weights, then the failed hull LP and the separation LP
         assert calls == [True, True, True, False]
+
+    @pytest.mark.parametrize(
+        "supp_v, supp_w, lps, pivots",
+        [
+            ([(0, 0), (4, 0), (0, 4)], [(1, 1), (2, 2), (0, 3)], 3, 10),
+            ([(0, 0), (2, 0), (0, 2)], [(1, 1), (0, 1), (3, 3), (1, 0)], 4, 13),
+        ],
+        ids=["contained", "separated"],
+    )
+    def test_check_path_work_is_pinned(self, monkeypatch, supp_v, supp_w, lps, pivots):
+        # rank-2 `pairs.check` jobs like these carry the median job of the
+        # pairs-levels benchmark; an edit to the shared kernel that changes
+        # their LPs or pivots shows here first
+        counts = []
+        real = linprog.solve_lp
+
+        def counting(*args, **kwargs):
+            res = real(*args, **kwargs)
+            counts.append(res.pivots)
+            return res
+
+        monkeypatch.setattr(linprog, "solve_lp", counting)
+        pairs.supports_semistable(supp_v, supp_w)
+        assert (len(counts), sum(counts)) == (lps, pivots)

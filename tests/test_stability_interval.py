@@ -269,16 +269,21 @@ def test_farkas_interval_matches_the_primal_loop(pair):
 
 @pytest.fixture
 def pivots(monkeypatch):
-    """The pivot count of each LP solved, in order."""
-    solve_lp = linprog.solve_lp
+    """The pivot count of each objective minimized, in order.
+
+    `solve_lp` is one `Tableau.minimize`, so counting that method counts the
+    Farkas systems, which minimize two objectives on one tableau, and every
+    primal LP alike.
+    """
+    minimize = linprog.Tableau.minimize
     counts = []
 
-    def counting(*args, **kwargs):
-        res = solve_lp(*args, **kwargs)
+    def counting(self, c):
+        res = minimize(self, c)
         counts.append(res.pivots)
         return res
 
-    monkeypatch.setattr(linprog, "solve_lp", counting)
+    monkeypatch.setattr(linprog.Tableau, "minimize", counting)
     return counts
 
 
@@ -291,16 +296,41 @@ def pivots_of(counts, interval, pair):
 @pytest.mark.parametrize(
     "pair, farkas, primal",
     [
-        (torus_pair([(1, 3), (3, 1)], [(2, 2)]), 18, 55),
-        (torus_pair([(2, 3, 3), (0, 1, 0), (0, 2, 2)], [(0, 2, 0), (1, 3, 2)]), 196, 431),
+        (torus_pair([(1, 3), (3, 1)], [(2, 2)]), 16, 55),
+        (torus_pair([(2, 3, 3), (0, 1, 0), (0, 2, 2)], [(0, 2, 0), (1, 3, 2)]), 145, 431),
     ],
 )
 def test_farkas_systems_pivot_less_than_the_primal_loop(pivots, pair, farkas, primal):
     # each primal LP has a row and an artificial per cone row; a Farkas
-    # system has one row per coordinate, and at most two primal LPs
-    # re-verify the ends
+    # system has one row per coordinate and one phase 1 for both of its
+    # objectives, and at most two primal LPs re-verify the ends
     assert pivots_of(pivots, stability_interval, pair) == farkas
     assert pivots_of(pivots, old_primal_interval, pair) == primal
+
+
+@pytest.mark.parametrize(
+    "pair, cones, ends",
+    [
+        (torus_pair([(1, 3), (3, 1)], [(2, 2)]), 4, 1),
+        (torus_pair([(2, 3, 3), (0, 1, 0), (0, 2, 2)], [(0, 2, 0), (1, 3, 2)]), 18, 2),
+    ],
+)
+def test_each_cone_builds_one_system_and_runs_phase_1_once(monkeypatch, pair, cones, ends):
+    # every tableau here has equality rows, so each runs phase 1; the primal
+    # LP re-verifying a finite end is one more tableau with one objective
+    calls = {"built": 0, "phase 1": 0, "objectives": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for name, attr in (("built", "__init__"), ("phase 1", "_phase1"), ("objectives", "minimize")):
+        monkeypatch.setattr(linprog.Tableau, attr, counted(name, getattr(linprog.Tableau, attr)))
+    stability_interval(pair)
+    assert calls == {"built": cones + ends, "phase 1": cones + ends, "objectives": 2 * cones + ends}
 
 
 def test_a_witness_disagreeing_with_its_farkas_end_fails_reverification(monkeypatch):
