@@ -1,12 +1,20 @@
 """Degeneration loci of group actions by exact elimination.
 
-The pipeline is purely ideal-theoretic: build the graph of the action,
+The locus pipeline is ideal-theoretic: build the graph of the action,
 project it to the product of two copies of the ambient space, intersect with
 the target subvariety in the second copy, and eliminate.  The computed locus
 is a closed set that always CONTAINS the true pointwise degeneration locus;
 per-point oracles document where the containment is strict.  Projective
 inputs are handled on affine cones with homogeneous ideals, where
 "intersection nonempty" means the irrelevant-saturated sum is proper.
+
+A per-point oracle takes one of two routes.  For a diagonal torus action and
+a target generated by monomials it is polyhedral: the orbits in the closure
+of a point's orbit match the faces of the cone (affine) or the polytope
+(projective) of the weights of its nonzero coordinates, and the limit point
+of a face keeps the coordinates whose weight lies in it, so small exact LPs
+decide it.  Every other problem eliminates the group variables from the
+parametrized orbit.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import linprog
 from .algebra.ideals import (
     Budget,
     Ideal,
@@ -28,8 +37,8 @@ from .algebra.ideals import (
     saturate,
 )
 from .algebra.multipoly import MultiPoly
-from .groups import GroupPresentation, MatrixAction, TorusWeights
-from .pairs import supports_semistable
+from .groups import INV_VAR, GroupPresentation, MatrixAction, TorusWeights
+from .pairs import point_in_hull, supports_semistable
 
 
 @dataclass(frozen=True)
@@ -236,9 +245,17 @@ def point_degenerates(
 ) -> bool:
     """Whether the orbit closure of one rational point meets the target.
 
-    Eliminates the group variables from the parametrized orbit; projective
-    problems also quotient by rescaling via an inverted scale variable and
-    decide emptiness after irrelevant saturation.
+    A torus acting diagonally, each diagonal entry one term in g_ii and ginv,
+    with every target generator one term, is decided from faces of the
+    weights of the point's support S (orbit-face correspondence).  Affine:
+    the smallest face is the cone's lineality space, holding the coordinates
+    S_min = {i in S : -chi_i in cone(chi_k : k in S)}, and the point
+    degenerates iff every generator has a variable outside S_min.
+    Projective: the smallest faces are the vertices of the weights' hull,
+    and the point degenerates iff some vertex chi leaves every generator a
+    variable outside {i in S : chi_i = chi}.  At most one LP per distinct
+    weight, metered against the budget.  Every other problem is decided by
+    elimination.
     """
     budget = Budget.coerce(budget)
     point = tuple(Fraction(c) for c in y0)
@@ -251,6 +268,72 @@ def point_degenerates(
     if prob.projective and all(c == 0 for c in point):
         raise ValueError("the zero cone point names no projective point")
 
+    weights = _diagonal_weights(prob)
+    if weights is None or any(len(g.terms) != 1 for g in prob.ideal_w.generators):
+        return _eliminated_degenerates(prob, point, budget)
+    support = {i for i, c in enumerate(point) if c != 0}
+    # the variables of each target monomial
+    targets = [
+        {i for i, e in enumerate(mono) if e}
+        for g in prob.ideal_w.generators
+        for mono in g.terms
+    ]
+    hull = sorted({weights[i] for i in support})
+    if prob.projective:
+        for chi in hull:
+            face = {i for i in support if weights[i] == chi}
+            if all(t - face for t in targets) and (
+                point_in_hull(chi, [q for q in hull if q != chi], budget=budget) is None
+            ):
+                return True
+        return False
+
+    lineal: dict[tuple[int, ...], bool] = {}
+
+    def in_lineality(chi: tuple[int, ...]) -> bool:
+        """Whether -chi lies in the cone of the support's weights."""
+        if chi not in lineal:
+            a_eq = [[q[j] for q in hull] for j in range(len(chi))]
+            res = linprog.solve_lp(
+                [0] * len(hull), a_eq=a_eq, b_eq=[-x for x in chi], budget=budget
+            )
+            lineal[chi] = res.status == linprog.OPTIMAL
+        return lineal[chi]
+
+    return all(
+        t - support or any(not in_lineality(weights[i]) for i in sorted(t))
+        for t in targets
+    )
+
+
+def _diagonal_weights(prob: ActionProblem) -> list[tuple[int, ...]] | None:
+    """The weight of each coordinate when a torus acts diagonally, each
+    diagonal entry one term in the g_ii and ginv: its g_ii exponents less
+    its ginv exponent.  None for any other action."""
+    if not prob.group.is_torus:
+        return None
+    variables = prob.group.variables
+    diag = [variables.index(f"g{i}{i}") for i in range(1, prob.group.size + 1)]
+    inv = variables.index(INV_VAR)
+    weights = []
+    for r, row in enumerate(prob.action.matrix):
+        if any(not entry.is_zero() for c, entry in enumerate(row) if c != r):
+            return None
+        if len(row[r].terms) != 1:
+            return None
+        (mono,) = row[r].terms
+        if any(e for j, e in enumerate(mono) if j != inv and j not in diag):
+            return None
+        weights.append(tuple(mono[j] - mono[inv] for j in diag))
+    return weights
+
+
+def _eliminated_degenerates(
+    prob: ActionProblem, point: tuple[Fraction, ...], budget: Budget
+) -> bool:
+    """Eliminates the group variables from the parametrized orbit; projective
+    problems also quotient by rescaling via an inverted scale variable and
+    decide emptiness after irrelevant saturation."""
     gvars = list(prob.group.variables)
     taken = gvars + list(prob.y2_vars)
     if prob.projective:

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linprog
+from .algebra.ideals import Budget
 from .algebra.laurent import LaurentPoly
 from .algebra.multipoly import _exact, primitive
 from .algebra.parser import format_rational
@@ -101,17 +102,20 @@ def torus_supports(pair: Pair) -> tuple[list[tuple[int, ...]], list[tuple[int, .
 
 
 def point_in_hull(
-    point: Sequence[int], support: Sequence[tuple[int, ...]]
+    point: Sequence[int],
+    support: Sequence[tuple[int, ...]],
+    budget: Budget | int | None = None,
 ) -> list[Fraction] | None:
     """Convex coefficients writing the point over the support, or None when
-    the support is empty or the point lies outside its hull."""
+    the support is empty or the point lies outside its hull.  The LP's
+    pivots are charged to the budget when one is given."""
     if not support:
         return None
     k = len(point)
     a_eq = [[q[i] for q in support] for i in range(k)]
     a_eq.append([1] * len(support))
     b_eq = [point[i] for i in range(k)] + [1]
-    res = linprog.solve_lp([0] * len(support), a_eq=a_eq, b_eq=b_eq)
+    res = linprog.solve_lp([0] * len(support), a_eq=a_eq, b_eq=b_eq, budget=budget)
     return res.x if res.status == linprog.OPTIMAL else None
 
 

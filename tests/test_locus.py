@@ -1,14 +1,29 @@
 """Degeneration loci, per-point orbit oracles, and family stratification."""
 
+import contextlib
+import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from stabkit.algebra import Ideal, format_multi, parse_multi
-from stabkit.groups import GroupPresentation, TorusWeights, diagonal_action
+from stabkit import linprog
+from stabkit.algebra import Ideal, format_multi, ideals, parse_multi
+from stabkit.algebra.ideals import Budget
+from stabkit.cli import execute_job
+from stabkit.groups import (
+    GroupPresentation,
+    MatrixAction,
+    TorusWeights,
+    diagonal_action,
+    sym_action,
+)
 from stabkit.locus import (
     ActionProblem,
     FamilyPair,
+    _eliminated_degenerates,
     degeneration_locus,
     family_unstable_locus,
     graph_ideal,
@@ -143,6 +158,187 @@ class TestDegenerationLocus:
         prob = plane_problem(["x1"], projective=True)
         with pytest.raises(ValueError):
             point_degenerates(prob, (Fraction(0), Fraction(0)))
+
+
+@contextlib.contextmanager
+def groebner_runs():
+    """Count the Groebner bases computed inside the block: `groebner` and
+    `eliminate` both run `buchberger`."""
+    runs = []
+    real = ideals.buchberger
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    ideals.buchberger = counting
+    try:
+        yield runs
+    finally:
+        ideals.buchberger = real
+
+
+def torus_problem(weights, target, projective=False):
+    group = GroupPresentation(len(weights[0]), "torus")
+    y1 = tuple(f"x{i}" for i in range(len(weights)))
+    y2 = tuple(f"z{i}" for i in range(len(weights)))
+    ideal_w = Ideal(y1, [parse_multi(s, y1) for s in target])
+    action = diagonal_action(group, weights)
+    return ActionProblem(y1, y2, Ideal(y1, ()), ideal_w, group, action, projective)
+
+
+@st.composite
+def torus_oracles(draw):
+    """Rank <= 2, <= 4 coordinates with repeated weights, monomial targets
+    (the constant 1 and the empty target included), points with zeros; half
+    of them projective."""
+    rank = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 4))
+    pool = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=1, max_size=4)
+    )
+    weights = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    names = [f"x{i}" for i in range(n)]
+    monomial = st.lists(st.sampled_from(names), max_size=2).map(lambda vs: "*".join(vs) or "1")
+    target = draw(st.lists(monomial, max_size=2))
+    projective = draw(st.booleans())
+    entries = st.sampled_from([0, 1, -1, 2, Fraction(1, 2)])
+    point = draw(st.lists(entries, min_size=n, max_size=n))
+    assume(not projective or any(point))
+    return torus_problem(weights, target, projective), tuple(map(Fraction, point))
+
+
+class TestFaceRoute:
+    @given(torus_oracles())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_elimination(self, case):
+        prob, point = case
+        with groebner_runs() as runs:
+            hits = point_degenerates(prob, point)
+        assert runs == []
+        assert hits == _eliminated_degenerates(prob, point, Budget())
+
+    @pytest.mark.parametrize(
+        "target, projective, point, expected",
+        [
+            (["1"], False, (0, 0, 0), False),
+            (["1"], True, (1, 0, 2), False),
+            ([], False, (1, 1, 1), True),
+            ([], True, (1, 1, 1), True),
+            (["x0", "x1*x2"], False, (0, 0, 0), True),
+            (["x0", "x1*x2"], False, (1, 1, 1), False),
+            (["x0", "x1*x2"], False, (1, 0, 1), True),
+            (["x0*x2"], True, (1, 1, 1), True),
+            (["x0", "x1"], True, (1, 1, 0), False),
+        ],
+        ids=[
+            "unit-affine",
+            "unit-projective",
+            "empty-affine",
+            "empty-projective",
+            "zero-point",
+            "lineality-space",
+            "cone-face",
+            "vertex",
+            "no-vertex",
+        ],
+    )
+    def test_edge_cases(self, target, projective, point, expected):
+        prob = torus_problem([(1,), (-1,), (1,)], target, projective)
+        point = tuple(map(Fraction, point))
+        with groebner_runs() as runs:
+            assert point_degenerates(prob, point) is expected
+        assert runs == []
+        assert _eliminated_degenerates(prob, point, Budget()) is expected
+
+    def test_interior_weight_names_no_limit(self):
+        # [t : 1 : 1/t] tends to [1 : 0 : 0] and [0 : 0 : 1], the vertices;
+        # the interior weight's coordinate alone is no limit point
+        prob = torus_problem([(1,), (0,), (-1,)], ["x0", "x2"], projective=True)
+        point = (Fraction(1), Fraction(1), Fraction(1))
+        assert not point_degenerates(prob, point)
+        assert not _eliminated_degenerates(prob, point, Budget())
+
+    def test_sl2_sym_oracle_eliminates(self):
+        sl2 = GroupPresentation(2, "special-linear")
+        y1, y2 = ("a", "b", "c"), ("a2", "b2", "c2")
+        nullcone = Ideal(y1, [parse_multi(v, y1) for v in y1])
+        prob = ActionProblem(y1, y2, Ideal(y1, ()), nullcone, sl2, sym_action(sl2, 2))
+        with groebner_runs() as runs:
+            # x^2 has a double root, x*y does not
+            assert point_degenerates(prob, (Fraction(1), Fraction(0), Fraction(0)))
+        assert runs
+        assert not point_degenerates(prob, (Fraction(0), Fraction(1), Fraction(0)))
+
+    def test_hyperbola_eliminates(self):
+        prob = plane_problem(["x1", "y1"], variety=["x1*y1 - 1"])
+        with groebner_runs() as runs:
+            assert not point_degenerates(prob, (Fraction(2), Fraction(1, 2)))
+        assert runs
+
+    def test_non_diagonal_torus_matrix_eliminates(self):
+        # diag(t, 1/t) conjugated by [[1, 1], [0, 1]]: the nullcone is the
+        # image of the two axes, y1 = 0 or x1 = y1
+        ring = T1.variables
+        rows = [["g11", "ginv - g11"], ["0", "ginv"]]
+        action = MatrixAction(T1, [[parse_multi(s, ring) for s in row] for row in rows])
+        zero = Ideal(Y1, ())
+        origin = Ideal(Y1, [parse_multi(v, Y1) for v in Y1])
+        prob = ActionProblem(Y1, Y2, zero, origin, T1, action)
+        with groebner_runs() as runs:
+            assert point_degenerates(prob, (Fraction(3), Fraction(3)))
+        assert runs
+        assert not point_degenerates(prob, (Fraction(2), Fraction(1)))
+
+
+class TestFaceRouteBudget:
+    """The face route's only metered work is its LPs: budget.used is the
+    sum of the pivots of every `Tableau.minimize` of the job."""
+
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        seen = []
+        real = linprog.Tableau.minimize
+
+        def counting(self, c):
+            res = real(self, c)
+            seen.append(res.pivots)
+            return res
+
+        monkeypatch.setattr(linprog.Tableau, "minimize", counting)
+        return seen
+
+    def test_projective_oracle_base(self, pivots):
+        for path in resources.files("stabkit").joinpath("corpus").iterdir():
+            if path.name.endswith(".json"):
+                for entry in json.loads(path.read_text()):
+                    if entry["id"] == "a3-projective-oracle-base":
+                        document = entry["job"]
+        report = execute_job(document)
+        assert report["verdict"] == "does-not-degenerate"
+        assert report["budget"]["used"] == sum(pivots)
+
+    def test_rank_two_affine_oracle(self, pivots):
+        document = {
+            "schema_version": 1,
+            "kind": "locus.oracle",
+            "payload": {
+                "group": {"kind": "torus", "size": 2},
+                "action": {
+                    "kind": "torus-weights",
+                    "weights": [[1, 0], [0, 1], [-1, -1], [1, 1]],
+                },
+                "space": ["x1", "x2", "x3", "x4"],
+                "limit": ["y1", "y2", "y3", "y4"],
+                "variety": [],
+                "target": ["x1", "x4"],
+                "point": [1, 1, 0, 1],
+            },
+        }
+        report = execute_job(document)
+        assert report["verdict"] == "degenerates"
+        assert sum(pivots) > 0
+        assert report["budget"]["used"] == sum(pivots)
 
 
 class TestFamilies:
