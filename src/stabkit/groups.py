@@ -14,9 +14,17 @@ weights and norms only through t-orders, so `image_order` reads ord0(arc.v)
 off them without forming arc.v in the Laurent field: a torus coordinate's
 order is a dot product of its weight with the valuations of the diagonal,
 and a matrix action contracts v into each row, meets the arc once per row
-through `_at_arc`, and subtracts top * val(det).  `check_arc` reads only
+through `_at_arc`, and subtracts top * val(det).  v is contracted as its
+primitive integer multiple, since ord0 does not change under a nonzero
+scalar, and a term with a positive exponent on a variable whose arc entry
+is zero is skipped before any product is formed.  `check_arc` reads only
 the group's kind and the arc's determinant; the relations are built where
 elimination reads them as polynomials.
+
+Sym^d actions are built once per process for each group and degree and
+shared by every caller, and a matrix action keeps its torus weights once
+`rep_weights` has read them, so a job that reuses an earlier job's group
+and representation rebuilds neither.
 """
 
 from __future__ import annotations
@@ -32,7 +40,15 @@ from typing import Sequence
 
 from .algebra.ideals import Ideal
 from .algebra.laurent import LaurentPoly, ord0
-from .algebra.multipoly import MultiPoly, _add_into, _exact, _exponent, _mul_into, _scale_terms
+from .algebra.multipoly import (
+    MultiPoly,
+    _add_into,
+    _exact,
+    _exponent,
+    _mul_into,
+    _scale_terms,
+    primitive,
+)
 
 INV_VAR = "ginv"
 
@@ -214,7 +230,7 @@ class MatrixAction:
     a job document.
     """
 
-    __slots__ = ("group", "matrix")
+    __slots__ = ("group", "matrix", "_weights")
 
     def __init__(self, group: GroupPresentation, matrix: Sequence[Sequence[MultiPoly]]):
         rows = tuple(tuple(row) for row in matrix)
@@ -227,6 +243,7 @@ class MatrixAction:
                     raise ValueError("action entries must live in the group ring")
         self.group = group
         self.matrix = rows
+        self._weights = None  # rep_weights' result, kept once it succeeds
 
     @property
     def dim(self) -> int:
@@ -291,10 +308,6 @@ class Arc:
         return [self.matrix[i][i] for i in range(self.size)]
 
     @classmethod
-    def identity(cls, m: int) -> "Arc":
-        return cls.diagonal_arc([LaurentPoly.constant(1)] * m)
-
-    @classmethod
     def diagonal_arc(cls, entries: Sequence[LaurentPoly]) -> "Arc":
         return cls(_diag_matrix(entries, LaurentPoly.zero()))
 
@@ -302,15 +315,6 @@ class Arc:
     def one_ps(cls, exponents: Sequence[int]) -> "Arc":
         """Diagonal one-parameter subgroup t -> diag(t^e1, ..., t^em)."""
         return cls.diagonal_arc([LaurentPoly.t_power(e) for e in exponents])
-
-    @classmethod
-    def elementary(cls, m: int, i: int, j: int, off: LaurentPoly) -> "Arc":
-        """Identity plus `off` in position (i, j), zero-indexed, i != j."""
-        if i == j:
-            raise ValueError("elementary arcs live off the diagonal")
-        base = _diag_matrix([LaurentPoly.constant(1)] * m, LaurentPoly.zero())
-        base[i][j] = off
-        return cls(base)
 
     def __matmul__(self, other: "Arc") -> "Arc":
         if self.size != other.size:
@@ -393,11 +397,14 @@ def _at_arc(polys: Sequence[dict], arc: Arc) -> tuple[list[dict], int]:
     `polys` are term dicts over g11..gmm, ginv, and the arc's determinant is
     nonzero.  With top the largest ginv exponent among them, returns the
     term dicts of p(arc) * det^top, one per polynomial, and top.  A term's
-    ginv^k becomes det^(top - k).  The powers of each entry, and of det,
-    come from one table shared by every term of every polynomial.
+    ginv^k becomes det^(top - k).  A term with a positive exponent on a
+    variable whose entry is zero vanishes and is skipped before any of its
+    factors is multiplied.  The powers of each entry, and of det, come from
+    one table shared by every term of every polynomial.
     """
     entries = [e.terms for row in arc.matrix for e in row]
     n = len(entries)
+    zeros = [v for v, base in enumerate(entries) if not base]
     top = max((mono[n] for p in polys for mono in p), default=0)
     tables = [[None, base] for base in entries]  # tables[v][e] = base^e, e >= 1
     dets = [None, arc.det.terms]
@@ -408,21 +415,19 @@ def _at_arc(polys: Sequence[dict], arc: Arc) -> tuple[list[dict], int]:
     for p in polys:
         acc: dict = {}
         for mono, c in p.items():
+            if any(mono[v] for v in zeros):
+                continue
             prod = None
             for table, e in zip(tables, mono[:n] + (top - mono[n],)):
                 if not e:
                     continue
                 while len(table) <= e:
                     table.append(_mul_into({}, table[-1], table[1], operator.add))
-                factor = table[e]
-                if not factor:  # a power of a zero entry
-                    break
                 if prod is None:
-                    prod = _scale_terms(factor, c)
+                    prod = _scale_terms(table[e], c)
                 else:
-                    prod = _mul_into({}, prod, factor, operator.add)
-            else:
-                _add_into(acc, {0: c} if prod is None else prod)
+                    prod = _mul_into({}, prod, table[e], operator.add)
+            _add_into(acc, {0: c} if prod is None else prod)
         out.append(acc)
     return out, top
 
@@ -464,40 +469,46 @@ def rep_weights(rep: Representation, m: int) -> list[tuple[int, ...]]:
     if isinstance(rep, MatrixAction):
         if rep.group.size != m:
             raise ValueError("group size does not match m")
-        # On the diagonal torus g_ij = 0 (i != j), g_ii = d_i and ginv is
-        # 1/(d_1...d_m): a term survives only without off-diagonal
-        # variables, and then has weight (e_ii - e_ginv)_i.
-        n = m * m
-        diagonal = [p for p in range(n) if p // m == p % m]
-        off = [p for p in range(n) if p // m != p % m]
-        weights = []
-        for i, row in enumerate(rep.matrix):
-            for j, entry in enumerate(row):
-                if entry.is_zero():
-                    continue
-                found: dict = {}
-                for mono, c in entry.terms.items():
-                    if any(mono[p] for p in off):
-                        continue
-                    w = tuple(mono[p] - mono[n] for p in diagonal)
-                    s = found.get(w, 0) + c
-                    if s:
-                        found[w] = s
-                    else:
-                        del found[w]
-                if i != j:
-                    if found:
-                        raise ValueError(
-                            "action is not diagonal in the given basis; weights unavailable"
-                        )
-                    continue
-                if len(found) != 1:
-                    raise ValueError(
-                        "diagonal action entry is not a monomial; weights unavailable"
-                    )
-                weights.extend(found)
-        return weights
+        if rep._weights is None:
+            rep._weights = tuple(_action_weights(rep.matrix, m))
+        return list(rep._weights)
     raise TypeError(f"unknown representation type {type(rep).__name__}")
+
+
+def _action_weights(matrix, m: int) -> list[tuple[int, ...]]:
+    """Torus weights of an action matrix over GL_m, one per coordinate;
+    ValueError when the action is not diagonal with monomial entries."""
+    # On the diagonal torus g_ij = 0 (i != j), g_ii = d_i and ginv is
+    # 1/(d_1...d_m): a term survives only without off-diagonal
+    # variables, and then has weight (e_ii - e_ginv)_i.
+    n = m * m
+    diagonal = [p for p in range(n) if p // m == p % m]
+    off = [p for p in range(n) if p // m != p % m]
+    weights = []
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            if entry.is_zero():
+                continue
+            found: dict = {}
+            for mono, c in entry.terms.items():
+                if any(mono[p] for p in off):
+                    continue
+                w = tuple(mono[p] - mono[n] for p in diagonal)
+                s = found.get(w, 0) + c
+                if s:
+                    found[w] = s
+                else:
+                    del found[w]
+            if i != j:
+                if found:
+                    raise ValueError(
+                        "action is not diagonal in the given basis; weights unavailable"
+                    )
+                continue
+            if len(found) != 1:
+                raise ValueError("diagonal action entry is not a monomial; weights unavailable")
+            weights.extend(found)
+    return weights
 
 
 def deg_of_rep(rep: Representation, m: int) -> int:
@@ -549,7 +560,7 @@ def image_order(rep: Representation, arc: Arc, v: Sequence[Fraction]):
             raise ValueError("vector length does not match the representation")
         if arc.det.is_zero():
             raise ValueError("invalid arc: zero determinant")
-        coords = [_exact(c) for c in v]
+        coords = primitive([_exact(c) for c in v])  # ord0 ignores the scale
         rows = []
         for row in rep.matrix:  # sum_j c_j * entry_ij in the group ring
             acc: dict = {}
@@ -625,11 +636,26 @@ def diagonal_action(group: GroupPresentation, weights: Sequence[Sequence[int]]) 
 
 
 def sym_action(group: GroupPresentation, d: int) -> MatrixAction:
-    """Sym^d of the standard two-dimensional action as an explicit matrix."""
+    """Sym^d of the standard two-dimensional action as an explicit matrix.
+
+    Built once per process for each equal group and degree, among the last
+    `SYM_ACTIONS_KEPT` asked for, and shared by every caller, who must not
+    change it.
+    """
     if group.size != 2:
         raise ValueError("symmetric-power helper is for 2x2 groups")
     if d < 1:
         raise ValueError("degree must be positive")
+    return _sym_action(group, d)
+
+
+SYM_ACTIONS_KEPT = 16
+
+
+# typed: a degree that is equal to an int but not one, such as 2.0, still
+# fails in the builder as it did before actions were shared
+@functools.lru_cache(maxsize=SYM_ACTIONS_KEPT, typed=True)
+def _sym_action(group: GroupPresentation, d: int) -> MatrixAction:
     ring = group.variables  # g11, g12, g21, g22, ginv
     dim = d + 1
     matrix = [[{} for _ in range(dim)] for _ in range(dim)]

@@ -69,7 +69,7 @@ class ActionProblem:
             raise ValueError("variable names of the copies and the group must be disjoint")
         if ideal_y.variables != y1 or ideal_w.variables != y1:
             raise ValueError("both ideals must live in the first copy's ring")
-        if action.group is not group:
+        if action.group != group:
             raise ValueError("action must be a representation of the given group")
         if action.dim != len(y1):
             raise ValueError("action matrix size must match the ambient dimension")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -353,17 +354,25 @@ def _draw_arc(group: GroupPresentation, rng: random.Random) -> Arc:
     if group.is_torus:
         return Arc.one_ps([rng.randint(-2, 2) for _ in range(m)])
     special = group.kind == "special-linear"
-    arc = Arc.identity(m)
+    # The product of one to three factors, each an elementary matrix or a
+    # one-parameter subgroup, built from the identity by the column
+    # operation that multiplying by the factor on the right performs.
+    rows = [[LaurentPoly.constant(int(r == c)) for c in range(m)] for r in range(m)]
     for _ in range(rng.randint(1, 3)):
         if m >= 2 and rng.randint(0, 1) == 0:
             i, j = rng.sample(range(m), 2)
-            arc = arc @ Arc.elementary(m, i, j, _random_laurent(rng))
+            off = _random_laurent(rng)
+            for row in rows:  # column j += off * column i
+                if not row[i].is_zero():
+                    row[j] = row[j] + row[i] * off
         else:
             exps = [rng.randint(-2, 2) for _ in range(m)]
             if special:
                 exps[-1] = -sum(exps[:-1])
-            arc = arc @ Arc.one_ps(exps)
-    return arc
+            powers = [LaurentPoly.t_power(e) for e in exps]
+            for row in rows:  # column k *= t^exps[k]
+                row[:] = map(operator.mul, row, powers)
+    return Arc(rows)
 
 
 def _random_laurent(rng: random.Random) -> LaurentPoly:

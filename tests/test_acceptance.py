@@ -13,6 +13,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from arc_helpers import elementary_arc, identity_arc
+
 from stabkit.algebra import (
     GREVLEX,
     LEX,
@@ -374,7 +376,7 @@ def small_laurent(rng, floor):
 
 
 def random_arc(rng):
-    arc = Arc.identity(2)
+    arc = identity_arc(2)
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.5:
             arc = arc @ Arc.one_ps((rng.randint(-2, 2), rng.randint(-2, 2)))
@@ -383,7 +385,7 @@ def random_arc(rng):
             if off.is_zero():
                 off = LaurentPoly.t_power(rng.randint(-2, 2))
             i = rng.randint(0, 1)
-            arc = arc @ Arc.elementary(2, i, 1 - i, off)
+            arc = arc @ elementary_arc(2, i, 1 - i, off)
     return arc
 
 
@@ -395,7 +397,7 @@ def integral_unit_arc(rng):
     off = small_laurent(rng, rng.randint(0, 2))
     if not off.is_zero():
         i = rng.randint(0, 1)
-        arc = arc @ Arc.elementary(2, i, 1 - i, off)
+        arc = arc @ elementary_arc(2, i, 1 - i, off)
     return arc
 
 
@@ -403,7 +405,7 @@ def test_a08_arc_norms_nonnegative_and_equivalence_invariant():
     with deadline(10.0):
         rng = random.Random(978)
         reps = {d: sym_action(GL2, d) for d in (1, 2, 3, 4)}
-        identity = Arc.identity(2)
+        identity = identity_arc(2)
         trivial_count = 0
         for k in range(200):
             d = 1 + k % 4

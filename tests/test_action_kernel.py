@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arc_helpers import elementary_arc, identity_arc
+
 from stabkit.algebra import LaurentFrac, LaurentPoly, MultiPoly, ord0, parse_multi
 from stabkit.groups import (
     INV_VAR,
@@ -202,11 +204,11 @@ def drawn_arcs(draw, group):
     determinant 1 for special-linear groups) and elementary matrices with
     small Laurent entries; tori draw t-power diagonals only."""
     m = group.size
-    arc = Arc.identity(m)
+    arc = identity_arc(m)
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         if m >= 2 and not group.is_torus and draw(st.booleans()):
             i, j = draw(st.permutations(range(m)))[:2]
-            arc = arc @ Arc.elementary(m, i, j, draw(laurents))
+            arc = arc @ elementary_arc(m, i, j, draw(laurents))
         else:
             exps = draw(st.lists(small, min_size=m, max_size=m))
             if group.kind == "special-linear":
@@ -327,7 +329,7 @@ class TestImageOrder:
     @given(actions, st.integers(min_value=1, max_value=3))
     @settings(max_examples=100, deadline=None)
     def test_wrong_arc_size_is_refused_alike(self, action, m):
-        arc = Arc.identity(m)
+        arc = identity_arc(m)
         vector = [Fraction(1)] * action.dim
         want = outcome(ref_image_order, action, arc, vector)
         assert outcome(image_order, action, arc, vector) == want
@@ -357,7 +359,7 @@ class TestCheckArc:
     def test_each_way_out_of_a_group_is_refused_like_the_reference(self):
         t = LaurentPoly.t_power(1)
         one, zero = LaurentPoly.constant(1), LaurentPoly.zero()
-        shear = Arc.elementary(4, 0, 3, t)
+        shear = elementary_arc(4, 0, 3, t)
         cases = [
             ("torus", Arc.one_ps([1, -2, 0, 3]), True),
             ("torus", Arc.one_ps([1, -2, 0, 3]) @ shear, False),

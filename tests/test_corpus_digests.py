@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from stabkit import groups
 from stabkit.cli import main
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "corpus-report-digests.json").read_text())
@@ -41,3 +42,18 @@ def test_report_bytes(entry_id, tmp_path):
     job.write_text(json.dumps(ENTRIES[entry_id]["job"]))
     assert main(["run", str(job), "--out", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == DIGESTS[entry_id]
+
+
+def test_reports_do_not_depend_on_earlier_jobs(tmp_path):
+    """Sym^d actions are built once and shared by later jobs: every report is
+    the same whether its job runs first, in order, or again, in reverse."""
+    groups._sym_action.cache_clear()
+    job = tmp_path / "job.json"
+    report = tmp_path / "report.json"
+    reports = {}
+    for order in (sorted(ENTRIES), sorted(ENTRIES, reverse=True)):
+        for entry_id in order:
+            job.write_text(json.dumps(ENTRIES[entry_id]["job"]))
+            assert main(["run", str(job), "--out", str(report)]) == 0
+            reports.setdefault(entry_id, []).append(report.read_bytes())
+    assert [i for i, (first, again) in reports.items() if first != again] == []

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arc_helpers import elementary_arc, identity_arc
+
 from stabkit import groups
 from stabkit.algebra import Ideal, LaurentPoly, MultiPoly, parse_laurent, parse_multi
 from stabkit.groups import (
@@ -33,6 +35,7 @@ from stabkit.groups import (
 )
 from stabkit.pairs import point_in_hull
 
+T1 = GroupPresentation(1, "torus")
 T2 = GroupPresentation(2, "torus")
 SL2 = GroupPresentation(2, "special-linear")
 GL2 = GroupPresentation(2, "general-linear")
@@ -321,14 +324,52 @@ class TestCheckAction:
         assert not check_action(MatrixAction(group, [[entries[0][0] + 1]]))
 
 
+class TestSharedActions:
+    def test_equal_groups_share_one_sym_action(self):
+        a = GroupPresentation(2, "special-linear")
+        b = GroupPresentation(2, "special-linear")
+        for d in (1, 3, 8):
+            assert sym_action(a, d) is sym_action(b, d)
+        assert sym_action(a, 2) is not sym_action(GL2, 2)
+        assert sym_action(a, 2) is not sym_action(a, 3)
+
+    def test_degree_equal_to_an_int_is_not_served_from_the_memo(self):
+        sym_action(SL2, 2)
+        with pytest.raises(TypeError):
+            sym_action(SL2, 2.0)
+
+    @pytest.mark.parametrize(
+        "group, rows, message",
+        [
+            # diag(t, 1/t) conjugated by [[1, 1], [0, 1]]
+            (T1, [["g11", "ginv - g11"], ["0", "ginv"]], "action is not diagonal in the given basis"),
+            (GL2, [["g11 + g22", "0"], ["0", "g22"]], "diagonal action entry is not a monomial"),
+        ],
+        ids=["off-diagonal", "binomial"],
+    )
+    def test_refused_weights_are_refused_on_every_call(self, group, rows, message):
+        ring = group.variables
+        action = MatrixAction(group, [[parse_multi(e, ring) for e in row] for row in rows])
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                rep_weights(action, group.size)
+
+    def test_kept_weights_are_returned_as_a_fresh_list(self):
+        action = diagonal_action(T2, [(1, 0), (0, 2)])
+        rep_weights(action, 2).append((9, 9))
+        assert rep_weights(action, 2) == [(1, 0), (0, 2)]
+        with pytest.raises(ValueError, match="group size does not match m"):
+            rep_weights(action, 3)
+
+
 class TestArcs:
     def test_constructors(self):
-        assert Arc.identity(2).is_diagonal()
+        assert identity_arc(2).is_diagonal()
         assert one_ps(1, -1).diagonal() == [parse_laurent("t"), parse_laurent("t^-1")]
-        el = Arc.elementary(2, 0, 1, parse_laurent("t"))
+        el = elementary_arc(2, 0, 1, parse_laurent("t"))
         assert el.det == LaurentPoly.constant(1)
         with pytest.raises(ValueError):
-            Arc.elementary(2, 1, 1, parse_laurent("t"))
+            elementary_arc(2, 1, 1, parse_laurent("t"))
 
     @pytest.mark.parametrize("bad", [Fraction(5, 2), 2.9, 2.0], ids=["5/2", "2.9", "2.0"])
     def test_inexact_one_ps_exponents_are_refused(self, bad):
@@ -337,7 +378,7 @@ class TestArcs:
 
     def test_product_and_det(self):
         a = one_ps(1, -1)
-        b = Arc.elementary(2, 0, 1, parse_laurent("1 + t"))
+        b = elementary_arc(2, 0, 1, parse_laurent("1 + t"))
         ab = a @ b
         assert ab.matrix[0][1] == parse_laurent("t + t^2")
         assert ab.det == a.det * b.det
@@ -346,23 +387,23 @@ class TestArcs:
         assert check_arc(SL2, one_ps(1, -1))
         assert not check_arc(SL2, one_ps(1, 1))
         assert check_arc(GL2, one_ps(1, 1))
-        assert check_arc(SL2, Arc.elementary(2, 0, 1, parse_laurent("t^-2")))
+        assert check_arc(SL2, elementary_arc(2, 0, 1, parse_laurent("t^-2")))
         assert not check_arc(GL2, Arc.diagonal_arc([parse_laurent("t"), LaurentPoly.zero()]))
 
     def test_equivalence_ignores_unit_factors(self):
         a = one_ps(1, -1)
         unit = Arc.diagonal_arc([parse_laurent("1 + t"), parse_laurent("1 - t^2")])
         assert arcs_equivalent(a, a @ unit)
-        assert arcs_equivalent(unit, Arc.identity(2))
+        assert arcs_equivalent(unit, identity_arc(2))
 
     def test_equivalence_separates_cocharacters(self):
-        assert not arcs_equivalent(one_ps(1, -1), Arc.identity(2))
+        assert not arcs_equivalent(one_ps(1, -1), identity_arc(2))
         assert not arcs_equivalent(one_ps(1, 0), one_ps(0, 1))
 
     def test_equivalence_rejects_singular(self):
         sing = Arc.diagonal_arc([LaurentPoly.zero(), parse_laurent("t")])
         with pytest.raises(ValueError):
-            arcs_equivalent(sing, Arc.identity(2))
+            arcs_equivalent(sing, identity_arc(2))
 
     @given(small_exps, small_exps)
     @settings(max_examples=30, deadline=None)
@@ -393,7 +434,7 @@ class TestActionAndWeights:
 
     def test_unipotent_arc_mixes_coordinates(self):
         rep = sym_action(GL2, 1)
-        uni = Arc.elementary(2, 0, 1, parse_laurent("t"))
+        uni = elementary_arc(2, 0, 1, parse_laurent("t"))
         # y -> y + t*x: the image (t, 1) has order 0, and x alone stays at 0
         assert image_order(rep, uni, [Fraction(0), Fraction(1)]) == 0
         assert image_order(rep, uni @ one_ps(1, 1), [Fraction(1), Fraction(0)]) == 1
@@ -463,8 +504,8 @@ class TestActionAndWeights:
         rep = sym_action(GL2, 4)
         v = [Fraction(0), Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
         assert arc_norm(rep, v, one_ps(1, -1)) == 4
-        assert arc_norm(rep, v, Arc.identity(2)) == 0
-        uni = Arc.elementary(2, 0, 1, parse_laurent("t"))
+        assert arc_norm(rep, v, identity_arc(2)) == 0
+        uni = elementary_arc(2, 0, 1, parse_laurent("t"))
         assert arc_norm(rep, v, uni) == 0
 
     @given(small_exps)

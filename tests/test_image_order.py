@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arc_helpers import elementary_arc, identity_arc
+
 from stabkit.algebra import LaurentFrac, LaurentPoly, MultiPoly, ord0
 from stabkit.algebra import parse_laurent as t
 from stabkit.algebra import parse_multi
@@ -131,7 +133,7 @@ def torus_cases(draw):
     entries = st.lists(entry, min_size=size, max_size=size)
     arc = Arc.diagonal_arc(draw(entries))
     if size >= 2 and draw(st.integers(min_value=0, max_value=7)) == 0:
-        arc = arc @ Arc.elementary(size, 0, 1, draw(laurents))
+        arc = arc @ elementary_arc(size, 0, 1, draw(laurents))
     return rep, arc, draw(vectors(rep.dim))
 
 
@@ -139,11 +141,11 @@ def torus_cases(draw):
 def elementary_arcs(draw, group):
     """Products of diagonal t-power arcs (of determinant 1 for SL2) and
     elementary factors with Laurent entries: mostly not diagonal."""
-    arc = Arc.identity(2)
+    arc = identity_arc(2)
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         if draw(st.booleans()):
             i, j = draw(st.permutations(range(2)))
-            arc = arc @ Arc.elementary(2, i, j, draw(laurents))
+            arc = arc @ elementary_arc(2, i, j, draw(laurents))
         else:
             a, b = draw(small), draw(small)
             arc = arc @ Arc.one_ps([a, -a if group is SL2 else b])
@@ -240,7 +242,7 @@ CANCELLING = MatrixAction(GL2, [[parse_multi(s, GL2.variables) for s in ("g11", 
         (T2, Arc.one_ps([1, 1]), [0], "vector length does not match the representation"),
         (
             sym_action(SL2, 1),
-            Arc.identity(2),
+            identity_arc(2),
             [0, 0, Fraction(0)],
             "vector length does not match the representation",
         ),
@@ -257,11 +259,11 @@ def test_a_zero_w_must_fit_the_representation_and_the_arc(rep, arc, w, message):
     "rep, arc, v, error",
     [
         (T2, Arc.one_ps([1, 1]), [0, 0], (ValueError, "v must be nonzero")),
-        (sym_action(SL2, 1), Arc.identity(2), [0, Fraction(0)], (ValueError, "v must be nonzero")),
+        (sym_action(SL2, 1), identity_arc(2), [0, Fraction(0)], (ValueError, "v must be nonzero")),
         (T2, Arc.one_ps([1]), ONE, (ValueError, "arc size does not match the torus rank")),
         (
             T2,
-            Arc.elementary(2, 0, 1, t("t")),
+            elementary_arc(2, 0, 1, t("t")),
             ONE,
             (ValueError, "TorusWeights representations act through diagonal arcs only"),
         ),
@@ -279,13 +281,13 @@ def test_a_zero_w_must_fit_the_representation_and_the_arc(rep, arc, w, message):
         ),
         (
             sym_action(SL2, 2),
-            Arc.identity(3),
+            identity_arc(3),
             [1, 0, 0],
             (ValueError, "arc size does not match the group"),
         ),
         (
             sym_action(GL2, 2),
-            Arc.identity(2),
+            identity_arc(2),
             [1, 0],
             (ValueError, "vector length does not match the representation"),
         ),
@@ -297,19 +299,19 @@ def test_a_zero_w_must_fit_the_representation_and_the_arc(rep, arc, w, message):
         ),
         (
             CANCELLING,
-            Arc.identity(2),
+            identity_arc(2),
             ONE,
             (ValueError, "ord0 of an all-zero vector is undefined"),
         ),
         (
             sym_action(GL2, 1),
-            Arc.identity(2),
+            identity_arc(2),
             [0.5, 0],
             (TypeError, "float coefficient 0.5; pass an int or a Fraction"),
         ),
         (
             "not a representation",
-            Arc.identity(2),
+            identity_arc(2),
             ONE,
             (TypeError, "unknown representation type str"),
         ),
@@ -337,4 +339,4 @@ def test_errors_match_act(rep, arc, v, error):
 
 def test_mu_of_zero_w_is_the_infinity_object():
     assert mu_from_order(3, T2, [Fraction(0), 0], Arc.one_ps([1, 1])) is math.inf
-    assert mu_from_order(3, sym_action(SL2, 1), [0, 0], Arc.identity(2)) is math.inf
+    assert mu_from_order(3, sym_action(SL2, 1), [0, 0], identity_arc(2)) is math.inf

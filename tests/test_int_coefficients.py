@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arc_helpers import elementary_arc, identity_arc
+
 from stabkit.algebra import GREVLEX, LEX, LaurentPoly, MonomialOrder, MultiPoly
 from stabkit.algebra import parse_laurent, parse_multi
 from stabkit.algebra.ideals import _lead, _normal_form, _spoly
@@ -210,11 +212,11 @@ def falsifier_arcs(draw, group):
     """Products of t-power diagonals (of determinant 1 for SL2) and
     elementary matrices with small Laurent entries, as the falsifier draws
     them, except that the entries mix int and Fraction coefficients."""
-    arc = Arc.identity(2)
+    arc = identity_arc(2)
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         if draw(st.booleans()):
             i, j = draw(st.permutations(range(2)))
-            arc = arc @ Arc.elementary(2, i, j, draw(laurent_entries))
+            arc = arc @ elementary_arc(2, i, j, draw(laurent_entries))
         else:
             exps = draw(st.lists(small, min_size=2, max_size=2))
             if group is SL2:

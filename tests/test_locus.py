@@ -82,6 +82,19 @@ class TestActionProblem:
         with pytest.raises(ValueError):
             ActionProblem(Y1, Y2, zero, zero, T1, action)
 
+    def test_equal_groups_are_one_group(self):
+        # a shared Sym^d action keeps the group of the job that built it,
+        # which equals a later job's group without being the same object
+        acting = GroupPresentation(2, "special-linear")
+        posed = GroupPresentation(2, "special-linear")
+        assert acting == posed and acting is not posed
+        action = MatrixAction(acting, sym_action(acting, 2).matrix)
+        y1, y2 = ("a", "b", "c"), ("a2", "b2", "c2")
+        zero = Ideal(y1, ())
+        assert ActionProblem(y1, y2, zero, zero, posed, action).group is posed
+        with pytest.raises(ValueError, match="representation of the given group"):
+            ActionProblem(y1, y2, zero, zero, GroupPresentation(2, "general-linear"), action)
+
 
 class TestOrbitClosure:
     def test_graph_pins_second_copy(self):

@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from arc_helpers import elementary_arc, identity_arc
 
 from stabkit import linprog
 from stabkit.groups import (
@@ -20,6 +23,8 @@ from stabkit.groups import (
 from stabkit.algebra.multipoly import primitive
 from stabkit.pairs import (
     Pair,
+    _draw_arc,
+    _random_laurent,
     associated_pair,
     minkowski_power,
     point_in_hull,
@@ -367,3 +372,41 @@ class TestFalsifier:
         assert out is not None
         _, mu = out
         assert mu < 0
+
+
+def reference_draw_arc(group, rng):
+    """The falsifier's draw as a product of arcs: the identity times each
+    drawn factor, in the order drawn."""
+    m = group.size
+    if group.is_torus:
+        return Arc.one_ps([rng.randint(-2, 2) for _ in range(m)])
+    special = group.kind == "special-linear"
+    arc = identity_arc(m)
+    for _ in range(rng.randint(1, 3)):
+        if m >= 2 and rng.randint(0, 1) == 0:
+            i, j = rng.sample(range(m), 2)
+            arc = arc @ elementary_arc(m, i, j, _random_laurent(rng))
+        else:
+            exps = [rng.randint(-2, 2) for _ in range(m)]
+            if special:
+                exps[-1] = -sum(exps[:-1])
+            arc = arc @ Arc.one_ps(exps)
+    return arc
+
+
+@given(
+    st.sampled_from(["torus", "special-linear", "general-linear"]),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_draws_match_the_product_of_factors(kind, m, seed):
+    group = GroupPresentation(m, kind)
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        arc = _draw_arc(group, rng)
+        want = reference_draw_arc(group, ref)
+        assert [[e.terms for e in row] for row in arc.matrix] == [
+            [e.terms for e in row] for row in want.matrix
+        ]
+        assert rng.getstate() == ref.getstate()
