@@ -67,8 +67,8 @@ class Budget:
         self.limit = int(limit)
         self.used = 0
 
-    def spend(self, n: int = 1):
-        self.used += n
+    def spend(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetError(self.limit)
 
@@ -111,9 +111,6 @@ class Ideal:
         """True when the ideal is the whole ring."""
         gb = groebner(self, budget=budget).generators
         return len(gb) == 1 and gb[0].is_constant()
-
-    def is_zero(self) -> bool:
-        return not self.generators
 
     def __repr__(self):
         from .parser import format_multi

@@ -50,8 +50,8 @@ class LaurentPoly:
         return cls({0: c})
 
     @classmethod
-    def t_power(cls, n: int, coeff=1) -> "LaurentPoly":
-        return cls({n: coeff})
+    def t_power(cls, n: int) -> "LaurentPoly":
+        return cls({n: 1})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -267,12 +267,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "MultiPoly":
-        c = _exact(c)
-        if not c:
-            return MultiPoly(self.variables)
-        return MultiPoly._trusted(self.variables, _scale_terms(self.terms, c))
-
     def lead(self, order: MonomialOrder) -> tuple[Monomial, int | Fraction]:
         """Leading (monomial, coefficient) under `order`; errors on zero."""
         if not self.terms:

@@ -3,7 +3,8 @@
 Grammar: terms joined by + and -; a term is an optional rational coefficient
 (p or p/q) and variable factors name^k joined by *; exponents are nonnegative
 for ring elements and may be negative for Laurent polynomials.  Whitespace is
-insignificant.  Variables are declared by the caller, never inferred.
+insignificant.  Variables are declared by the caller, never inferred; a
+Laurent polynomial's one variable is t.
 """
 
 from __future__ import annotations
@@ -180,12 +181,12 @@ def parse_multi(text: str, variables: Sequence[str]) -> MultiPoly:
     return MultiPoly(variables, acc)
 
 
-def parse_laurent(text: str, variable: str = "t") -> LaurentPoly:
-    """Parse a one-variable Laurent polynomial; exponents may be negative."""
-    terms = _parse_terms(text, [variable], laurent=True)
+def parse_laurent(text: str) -> LaurentPoly:
+    """Parse a Laurent polynomial in t; exponents may be negative."""
+    terms = _parse_terms(text, ["t"], laurent=True)
     acc: dict[int, int | Fraction] = {}
     for coeff, exps in terms:
-        e = exps.get(variable, 0)
+        e = exps.get("t", 0)
         acc[e] = acc[e] + coeff if e in acc else coeff
     return LaurentPoly(acc)
 
@@ -220,13 +221,13 @@ def format_multi(p: MultiPoly, order: MonomialOrder = GREVLEX) -> str:
     return "".join(out)
 
 
-def format_laurent(p: LaurentPoly, variable: str = "t") -> str:
-    """Canonical string, terms in ascending exponent order."""
+def format_laurent(p: LaurentPoly) -> str:
+    """Canonical string in t, terms in ascending exponent order."""
     if p.is_zero():
         return "0"
     out = []
     for i, e in enumerate(sorted(p.terms)):
         coeff = p.terms[e]
-        factors = [] if e == 0 else [(variable, e)]
+        factors = [] if e == 0 else [("t", e)]
         out.append(_format_term(coeff, factors, lead=(i == 0)))
     return "".join(out)

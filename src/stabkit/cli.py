@@ -353,8 +353,8 @@ def _run_arcs_weight(payload: dict, budget: Budget, seed):
     arc = _build_arc(payload["arc"])
     if not check_arc(group, arc):
         raise ValueError("arc does not satisfy the group relations")
-    # mu_weight and arc_norm of the arc, acting on v once; the norm is left
-    # out where it raises ValueError
+    # the arc weight and norm, acting on v once; the norm is left out where
+    # it raises ValueError
     ord_v = image_order(rep_v, arc, _rats(payload["v"]))
     mu = mu_from_order(ord_v, rep_w, _rats(payload["w"]), arc)
     values = {"mu": "infinity" if mu is math.inf else format_rational(mu)}

@@ -316,11 +316,6 @@ class Arc:
         """Diagonal one-parameter subgroup t -> diag(t^e1, ..., t^em)."""
         return cls.diagonal_arc([LaurentPoly.t_power(e) for e in exponents])
 
-    def __matmul__(self, other: "Arc") -> "Arc":
-        if self.size != other.size:
-            raise ValueError("size mismatch in arc product")
-        return Arc(_matmul(self.matrix, other.matrix, LaurentPoly.zero()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Arc):
             return NotImplemented
@@ -374,11 +369,15 @@ def check_arc(group: GroupPresentation, arc: Arc) -> bool:
 
 
 def check_action(action: MatrixAction) -> bool:
-    """Spot check of compatibility with the group multiplication:
-    rho(ab) = rho(a) rho(b) on three deterministic pseudo-random pairs of
-    rational group points.
+    """Spot check of compatibility with the group multiplication: rho sends
+    the identity to the identity, as a representation must (rho(1) is an
+    invertible idempotent), and rho(ab) = rho(a) rho(b) on three
+    deterministic pseudo-random pairs of rational group points.
     """
     group = action.group
+    one = _diag_matrix([Fraction(1)] * group.size, Fraction(0))
+    if action.evaluate_rational(one) != _diag_matrix([1] * action.dim, 0):
+        return False
     rng = random.Random(20240719)
     for _ in range(3):
         a = group.random_point(rng)
@@ -477,7 +476,9 @@ def rep_weights(rep: Representation, m: int) -> list[tuple[int, ...]]:
 
 def _action_weights(matrix, m: int) -> list[tuple[int, ...]]:
     """Torus weights of an action matrix over GL_m, one per coordinate;
-    ValueError when the action is not diagonal with monomial entries."""
+    ValueError when the action is not diagonal with monomial entries.  A
+    diagonal entry that vanishes on the torus, zero included, is no monomial
+    and leaves its coordinate without a weight, so it raises too."""
     # On the diagonal torus g_ij = 0 (i != j), g_ii = d_i and ginv is
     # 1/(d_1...d_m): a term survives only without off-diagonal
     # variables, and then has weight (e_ii - e_ginv)_i.
@@ -487,8 +488,6 @@ def _action_weights(matrix, m: int) -> list[tuple[int, ...]]:
     weights = []
     for i, row in enumerate(matrix):
         for j, entry in enumerate(row):
-            if entry.is_zero():
-                continue
             found: dict = {}
             for mono, c in entry.terms.items():
                 if any(mono[p] for p in off):
@@ -530,8 +529,8 @@ def deg_of_rep(rep: Representation, m: int) -> int:
 
 
 def image_order(rep: Representation, arc: Arc, v: Sequence[Fraction]):
-    """ord0(arc.v) for a nonzero v: the term that mu_weight and arc_norm share,
-    for callers that need both of one arc.
+    """ord0(arc.v) for a nonzero v: the term that mu_from_order and
+    norm_from_order share, for callers that need both of one arc.
 
     Read off t-orders, without forming arc.v.  At diag(u_1, ..., u_m) a torus
     coordinate of weight chi has order <chi, (val u_1, ..., val u_m)>.  A
@@ -600,14 +599,6 @@ def mu_weight(
 ):
     """Arc weight ord0(arc.w) - ord0(arc.v); +infinity when w = 0."""
     return mu_from_order(image_order(rep_v, arc, v), rep_w, w, arc)
-
-
-def arc_norm(rep_v: Representation, v: Sequence[Fraction], arc: Arc):
-    """ord0(arc.v) - deg(V) * ord0(arc), nonnegative for homogeneous actions."""
-    if not any(map(_exact, v)):
-        raise ValueError("v must be nonzero")
-    d = deg_of_rep(rep_v, arc.size)
-    return norm_from_order(image_order(rep_v, arc, v), d, arc)
 
 
 def diagonal_action(group: GroupPresentation, weights: Sequence[Sequence[int]]) -> MatrixAction:

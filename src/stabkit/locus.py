@@ -8,13 +8,14 @@ per-point oracles document where the containment is strict.  Projective
 inputs are handled on affine cones with homogeneous ideals, where
 "intersection nonempty" means the irrelevant-saturated sum is proper.
 
-A per-point oracle takes one of two routes.  For a diagonal torus action and
-a target generated by monomials it is polyhedral: the orbits in the closure
-of a point's orbit match the faces of the cone (affine) or the polytope
-(projective) of the weights of its nonzero coordinates, and the limit point
-of a face keeps the coordinates whose weight lies in it, so small exact LPs
-decide it.  Every other problem eliminates the group variables from the
-parametrized orbit.
+A per-point oracle takes one of two routes.  For a torus action whose
+weights `groups.rep_weights` reads (diagonal on the torus, each diagonal
+entry a monomial there) and a target generated by monomials it is
+polyhedral: the orbits in the closure of a point's orbit match the faces of
+the cone (affine) or the polytope (projective) of the weights of its nonzero
+coordinates, and the limit point of a face keeps the coordinates whose
+weight lies in it, so small exact LPs decide it.  Every other problem
+eliminates the group variables from the parametrized orbit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .algebra.ideals import (
     saturate,
 )
 from .algebra.multipoly import MultiPoly
-from .groups import INV_VAR, GroupPresentation, MatrixAction, TorusWeights
+from .groups import GroupPresentation, MatrixAction, TorusWeights, rep_weights
 from .pairs import point_in_hull, supports_semistable
 
 
@@ -245,9 +246,9 @@ def point_degenerates(
 ) -> bool:
     """Whether the orbit closure of one rational point meets the target.
 
-    A torus acting diagonally, each diagonal entry one term in g_ii and ginv,
-    with every target generator one term, is decided from faces of the
-    weights of the point's support S (orbit-face correspondence).  Affine:
+    A torus action whose weights `groups.rep_weights` reads, with every
+    target generator one term, is decided from faces of the weights of the
+    point's support S (orbit-face correspondence).  Affine:
     the smallest face is the cone's lineality space, holding the coordinates
     S_min = {i in S : -chi_i in cone(chi_k : k in S)}, and the point
     degenerates iff every generator has a variable outside S_min.
@@ -268,8 +269,11 @@ def point_degenerates(
     if prob.projective and all(c == 0 for c in point):
         raise ValueError("the zero cone point names no projective point")
 
-    weights = _diagonal_weights(prob)
-    if weights is None or any(len(g.terms) != 1 for g in prob.ideal_w.generators):
+    if not prob.group.is_torus or any(len(g.terms) != 1 for g in prob.ideal_w.generators):
+        return _eliminated_degenerates(prob, point, budget)
+    try:
+        weights = rep_weights(prob.action, prob.group.size)
+    except ValueError:  # not diagonal, or a diagonal entry is no monomial
         return _eliminated_degenerates(prob, point, budget)
     support = {i for i, c in enumerate(point) if c != 0}
     # the variables of each target monomial
@@ -304,28 +308,6 @@ def point_degenerates(
         t - support or any(not in_lineality(weights[i]) for i in sorted(t))
         for t in targets
     )
-
-
-def _diagonal_weights(prob: ActionProblem) -> list[tuple[int, ...]] | None:
-    """The weight of each coordinate when a torus acts diagonally, each
-    diagonal entry one term in the g_ii and ginv: its g_ii exponents less
-    its ginv exponent.  None for any other action."""
-    if not prob.group.is_torus:
-        return None
-    variables = prob.group.variables
-    diag = [variables.index(f"g{i}{i}") for i in range(1, prob.group.size + 1)]
-    inv = variables.index(INV_VAR)
-    weights = []
-    for r, row in enumerate(prob.action.matrix):
-        if any(not entry.is_zero() for c, entry in enumerate(row) if c != r):
-            return None
-        if len(row[r].terms) != 1:
-            return None
-        (mono,) = row[r].terms
-        if any(e for j, e in enumerate(mono) if j != inv and j not in diag):
-            return None
-        weights.append(tuple(mono[j] - mono[inv] for j in diag))
-    return weights
 
 
 def _eliminated_degenerates(
@@ -407,17 +389,10 @@ def family_unstable_locus(
     budget = Budget.coerce(budget)
     base = fam.base_vars
 
-    def classify(poly: MultiPoly) -> str:
-        if poly.is_zero():
-            return "zero"
-        if poly.is_constant():
-            return "unit"
-        return "varies"
-
-    kinds_v = [classify(p) for p in fam.v]
-    kinds_w = [classify(p) for p in fam.w]
-    free_v = [i for i, k in enumerate(kinds_v) if k == "varies"]
-    free_w = [j for j, k in enumerate(kinds_w) if k == "varies"]
+    live_v = [i for i, p in enumerate(fam.v) if not p.is_zero()]
+    live_w = [j for j, p in enumerate(fam.w) if not p.is_zero()]
+    free_v = [i for i in live_v if not fam.v[i].is_constant()]
+    free_w = [j for j in live_w if not fam.w[j].is_constant()]
 
     pieces: list[Ideal] = []
     for pattern in itertools.product(
@@ -425,22 +400,10 @@ def family_unstable_locus(
     ):
         vanish_v = {i for i, flag in zip(free_v, pattern[: len(free_v)]) if flag}
         vanish_w = {j for j, flag in zip(free_w, pattern[len(free_v) :]) if flag}
-        supp_v = sorted(
-            {
-                fam.rep_v.weights[i]
-                for i, k in enumerate(kinds_v)
-                if k != "zero" and i not in vanish_v
-            }
-        )
+        supp_v = sorted({fam.rep_v.weights[i] for i in live_v if i not in vanish_v})
         if not supp_v:
             continue
-        supp_w = sorted(
-            {
-                fam.rep_w.weights[j]
-                for j, k in enumerate(kinds_w)
-                if k != "zero" and j not in vanish_w
-            }
-        )
+        supp_w = sorted({fam.rep_w.weights[j] for j in live_w if j not in vanish_w})
         ok, _ = supports_semistable(supp_v, supp_w)
         if ok:
             continue

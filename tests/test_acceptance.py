@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from arc_helpers import elementary_arc, identity_arc
+from arc_helpers import arc_norm, arc_product, elementary_arc, identity_arc
 
 from stabkit.algebra import (
     GREVLEX,
@@ -34,7 +34,6 @@ from stabkit.groups import (
     Arc,
     GroupPresentation,
     TorusWeights,
-    arc_norm,
     arcs_equivalent,
     diagonal_action,
     mu_weight,
@@ -379,13 +378,13 @@ def random_arc(rng):
     arc = identity_arc(2)
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.5:
-            arc = arc @ Arc.one_ps((rng.randint(-2, 2), rng.randint(-2, 2)))
+            arc = arc_product(arc, Arc.one_ps((rng.randint(-2, 2), rng.randint(-2, 2))))
         else:
             off = small_laurent(rng, rng.randint(-2, 1))
             if off.is_zero():
                 off = LaurentPoly.t_power(rng.randint(-2, 2))
             i = rng.randint(0, 1)
-            arc = arc @ elementary_arc(2, i, 1 - i, off)
+            arc = arc_product(arc, elementary_arc(2, i, 1 - i, off))
     return arc
 
 
@@ -397,7 +396,7 @@ def integral_unit_arc(rng):
     off = small_laurent(rng, rng.randint(0, 2))
     if not off.is_zero():
         i = rng.randint(0, 1)
-        arc = arc @ elementary_arc(2, i, 1 - i, off)
+        arc = arc_product(arc, elementary_arc(2, i, 1 - i, off))
     return arc
 
 

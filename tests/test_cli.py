@@ -219,6 +219,26 @@ class TestRun:
         assert out == ""
         assert "action matrix is not compatible with group multiplication" in err
 
+    def test_matrix_action_moving_the_identity(self, tmp_path, capsys):
+        # multiplicative, but the identity acts as diag(1, 0): the norm's
+        # degree would come from one weight for two coordinates
+        job = {
+            "schema_version": 1,
+            "kind": "arcs.weight",
+            "payload": {
+                "group": {"kind": "torus", "size": 2},
+                "rep_v": {"kind": "matrix", "entries": [["g11", "0"], ["0", "0"]]},
+                "rep_w": {"kind": "trivial"},
+                "v": [1, 1],
+                "w": [1],
+                "arc": [["t", "0"], ["0", "t^-1"]],
+            },
+        }
+        code, out, err = run_cli(tmp_path, capsys, job)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "action matrix is not compatible with group multiplication" in err
+
     def test_matrix_action_matches_sym(self, tmp_path, capsys):
         action = sym_action(GroupPresentation(2, "general-linear"), 2)
         entries = [[format_multi(p) for p in row] for row in action.matrix]

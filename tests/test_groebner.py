@@ -84,7 +84,7 @@ class TestGroebner:
     def test_trivial_detection(self):
         assert ideal("x", "x - 1").is_trivial()
         assert not CUBIC.is_trivial()
-        assert Ideal(RING, ()).is_zero()
+        assert not Ideal(RING, ()).generators
 
     def test_equality_via_reduced_basis(self):
         a = ideal("x + y", "y")
@@ -96,9 +96,8 @@ class TestGroebner:
     @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
     @settings(max_examples=25, deadline=None)
     def test_membership_closed_under_combinations(self, c1, c2):
-        f = CUBIC.generators[0].scale(Fraction(c1)) + CUBIC.generators[1].scale(
-            Fraction(c2)
-        ) * parse_multi("x + z", RING)
+        g0, g1 = CUBIC.generators[:2]
+        f = g0 * Fraction(c1) + g1 * Fraction(c2) * parse_multi("x + z", RING)
         assert member(f, CUBIC)
 
     def test_nonmember(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arc_helpers import elementary_arc, identity_arc
+from arc_helpers import arc_product, elementary_arc, identity_arc
 
 from stabkit.algebra import LaurentFrac, LaurentPoly, MultiPoly, ord0
 from stabkit.algebra import parse_laurent as t
@@ -133,7 +133,7 @@ def torus_cases(draw):
     entries = st.lists(entry, min_size=size, max_size=size)
     arc = Arc.diagonal_arc(draw(entries))
     if size >= 2 and draw(st.integers(min_value=0, max_value=7)) == 0:
-        arc = arc @ elementary_arc(size, 0, 1, draw(laurents))
+        arc = arc_product(arc, elementary_arc(size, 0, 1, draw(laurents)))
     return rep, arc, draw(vectors(rep.dim))
 
 
@@ -145,10 +145,10 @@ def elementary_arcs(draw, group):
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         if draw(st.booleans()):
             i, j = draw(st.permutations(range(2)))
-            arc = arc @ elementary_arc(2, i, j, draw(laurents))
+            arc = arc_product(arc, elementary_arc(2, i, j, draw(laurents)))
         else:
             a, b = draw(small), draw(small)
-            arc = arc @ Arc.one_ps([a, -a if group is SL2 else b])
+            arc = arc_product(arc, Arc.one_ps([a, -a if group is SL2 else b]))
     return arc
 
 

@@ -1,6 +1,7 @@
 """Degeneration loci, per-point orbit oracles, and family stratification."""
 
 import contextlib
+import itertools
 import json
 from fractions import Fraction
 from importlib import resources
@@ -9,15 +10,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stabkit import linprog
-from stabkit.algebra import Ideal, format_multi, ideals, parse_multi
-from stabkit.algebra.ideals import Budget
+from stabkit import linprog, locus
+from stabkit.algebra import Ideal, MultiPoly, format_multi, ideals, parse_multi
+from stabkit.algebra.ideals import Budget, groebner, saturate
 from stabkit.cli import execute_job
 from stabkit.groups import (
+    INV_VAR,
     GroupPresentation,
     MatrixAction,
     TorusWeights,
     diagonal_action,
+    rep_weights,
     sym_action,
 )
 from stabkit.locus import (
@@ -304,6 +307,125 @@ class TestFaceRoute:
         assert not point_degenerates(prob, (Fraction(2), Fraction(1)))
 
 
+def ref_diagonal_weights(prob):
+    """The reader of torus weights the face route had before it read them
+    through `rep_weights`: the weight of each coordinate when a torus acts
+    diagonally, each diagonal entry one term in the g_ii and ginv: its g_ii
+    exponents less its ginv exponent.  None for any other action."""
+    if not prob.group.is_torus:
+        return None
+    variables = prob.group.variables
+    diag = [variables.index(f"g{i}{i}") for i in range(1, prob.group.size + 1)]
+    inv = variables.index(INV_VAR)
+    weights = []
+    for r, row in enumerate(prob.action.matrix):
+        if any(not entry.is_zero() for c, entry in enumerate(row) if c != r):
+            return None
+        if len(row[r].terms) != 1:
+            return None
+        (mono,) = row[r].terms
+        if any(e for j, e in enumerate(mono) if j != inv and j not in diag):
+            return None
+        weights.append(tuple(mono[j] - mono[inv] for j in diag))
+    return weights
+
+
+@st.composite
+def written_torus_oracles(draw):
+    """Rank <= 2, <= 3 coordinates, monomial targets, points with zeros, half
+    of them projective.  Half the actions are written as the reference reads
+    them: a one-term diagonal entry per weight, zero elsewhere.  In the
+    others a diagonal entry writes its weight with one or two terms that
+    agree modulo ginv*g11*...*gkk = 1 (their coefficients may cancel), at
+    times plus a term in an off-diagonal variable, or is zero; an entry off
+    the diagonal is zero or a term in an off-diagonal variable."""
+    written = draw(st.booleans())
+    rank = draw(st.integers(1, 2))
+    group = GroupPresentation(rank, "torus")
+    ring = group.variables
+    diag = [ring.index(f"g{i}{i}") for i in range(1, rank + 1)]
+    inv = ring.index(INV_VAR)
+    off = [j for j in range(len(ring)) if j != inv and j not in diag]  # none on rank 1
+    coeffs = st.sampled_from([1, -1, 2, Fraction(1, 2)])
+
+    def term(exponents):
+        mono = [0] * len(ring)
+        for j, e in exponents:
+            mono[j] = e
+        return tuple(mono)
+
+    def off_term():
+        return term([(draw(st.sampled_from(off)), 1), (inv, draw(st.integers(0, 1)))])
+
+    def diagonal_entry():
+        if written and draw(st.integers(0, 5)) == 0:
+            return MultiPoly.zero(ring)
+        chi = draw(st.tuples(*[st.integers(-2, 2)] * rank))
+        lo = max(0, -min(chi))
+        most = 2 if written else 1
+        shifts = draw(st.lists(st.integers(lo, lo + 2), min_size=1, max_size=most, unique=True))
+        terms = {term([*zip(diag, (e + s for e in chi)), (inv, s)]): draw(coeffs) for s in shifts}
+        if written and off and draw(st.booleans()):
+            terms[off_term()] = draw(coeffs)
+        return MultiPoly(ring, terms)
+
+    def off_entry():
+        if written and off and draw(st.booleans()):
+            return MultiPoly(ring, {off_term(): draw(coeffs)})
+        return MultiPoly.zero(ring)
+
+    n = draw(st.integers(1, 3))
+    matrix = [[diagonal_entry() if i == j else off_entry() for j in range(n)] for i in range(n)]
+    names = [f"x{i}" for i in range(n)]
+    monomial = st.lists(st.sampled_from(names), max_size=2).map(lambda vs: "*".join(vs) or "1")
+    y1 = tuple(names)
+    y2 = tuple(f"z{i}" for i in range(n))
+    ideal_w = Ideal(y1, [parse_multi(t, y1) for t in draw(st.lists(monomial, max_size=2))])
+    projective = draw(st.booleans())
+    action = MatrixAction(group, matrix)
+    prob = ActionProblem(y1, y2, Ideal(y1, ()), ideal_w, group, action, projective)
+    point = draw(st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]), min_size=n, max_size=n))
+    assume(not projective or any(point))
+    return prob, tuple(map(Fraction, point))
+
+
+class TestWeightReader:
+    """The face route reads torus weights through `rep_weights`, which also
+    accepts entries that equal a monomial only modulo the torus relation."""
+
+    @given(written_torus_oracles())
+    @settings(max_examples=200, deadline=None)
+    def test_oracle_agrees_with_the_reference_reader_and_elimination(self, case):
+        prob, point = case
+        ref = ref_diagonal_weights(prob)
+        try:
+            weights = rep_weights(prob.action, prob.group.size)
+        except ValueError:
+            weights = None
+        if ref is not None:
+            assert weights == ref
+        with groebner_runs() as runs:
+            hits = point_degenerates(prob, point)
+        # the face route runs no Groebner basis, elimination always one
+        assert (runs == []) == (weights is not None)
+        assert hits == _eliminated_degenerates(prob, point, Budget())
+
+    def test_two_terms_equal_to_one_weight_take_the_face_route(self):
+        ring = T1.variables
+        rows = [["2*g11 - g11^2*ginv", "0"], ["0", "ginv"]]
+        action = MatrixAction(T1, [[parse_multi(s, ring) for s in row] for row in rows])
+        origin = Ideal(Y1, [parse_multi(v, Y1) for v in Y1])
+        prob = ActionProblem(Y1, Y2, Ideal(Y1, ()), origin, T1, action)
+        assert ref_diagonal_weights(prob) is None
+        assert rep_weights(action, 1) == [(1,), (-1,)]
+        for point, expected in [((1, 0), True), ((1, 1), False)]:
+            point = tuple(map(Fraction, point))
+            with groebner_runs() as runs:
+                assert point_degenerates(prob, point) is expected
+            assert runs == []
+            assert _eliminated_degenerates(prob, point, Budget()) is expected
+
+
 class TestFaceRouteBudget:
     """The face route's only metered work is its LPs: budget.used is the
     sum of the pivots of every `Tableau.minimize` of the job."""
@@ -441,3 +563,110 @@ class TestFamilies:
             verdict = torus_semistable(pair)
             in_locus = any(locus_contains(p, point) for p in pieces)
             assert (verdict.status == "unstable") == in_locus
+
+
+def ref_family_unstable_locus(fam, budget=None):
+    """The strata loop `family_unstable_locus` had when it tagged each
+    coordinate "zero", "unit" or "varies"; it calls
+    `locus.supports_semistable` through the module, so a wrapper there sees
+    its calls."""
+    budget = Budget.coerce(budget)
+
+    def classify(poly):
+        if poly.is_zero():
+            return "zero"
+        if poly.is_constant():
+            return "unit"
+        return "varies"
+
+    kinds_v = [classify(p) for p in fam.v]
+    kinds_w = [classify(p) for p in fam.w]
+    free_v = [i for i, k in enumerate(kinds_v) if k == "varies"]
+    free_w = [j for j, k in enumerate(kinds_w) if k == "varies"]
+    pieces = []
+    for pattern in itertools.product((False, True), repeat=len(free_v) + len(free_w)):
+        vanish_v = {i for i, flag in zip(free_v, pattern[: len(free_v)]) if flag}
+        vanish_w = {j for j, flag in zip(free_w, pattern[len(free_v) :]) if flag}
+        supp_v = sorted(
+            {fam.rep_v.weights[i] for i, k in enumerate(kinds_v) if k != "zero" and i not in vanish_v}
+        )
+        if not supp_v:
+            continue
+        supp_w = sorted(
+            {fam.rep_w.weights[j] for j, k in enumerate(kinds_w) if k != "zero" and j not in vanish_w}
+        )
+        ok, _ = locus.supports_semistable(supp_v, supp_w)
+        if ok:
+            continue
+        stratum = Ideal(
+            fam.base_vars,
+            [fam.v[i] for i in sorted(vanish_v)] + [fam.w[j] for j in sorted(vanish_w)],
+        )
+        alive = [fam.v[i] for i in free_v if i not in vanish_v]
+        alive += [fam.w[j] for j in free_w if j not in vanish_w]
+        closure = stratum
+        for f in alive:
+            closure = saturate(closure, f, budget)
+        closure = groebner(closure, budget=budget)
+        if closure.is_trivial():
+            continue
+        pieces.append(closure)
+    return locus._absorb(pieces, budget)
+
+
+@contextlib.contextmanager
+def strata_calls():
+    """Record the (supp_v, supp_w) of every `supports_semistable` call that
+    `locus` makes inside the block."""
+    calls = []
+    real = locus.supports_semistable
+
+    def recording(supp_v, supp_w, *args, **kwargs):
+        calls.append((list(supp_v), list(supp_w)))
+        return real(supp_v, supp_w, *args, **kwargs)
+
+    locus.supports_semistable = recording
+    try:
+        yield calls
+    finally:
+        locus.supports_semistable = real
+
+
+@st.composite
+def stratified_families(draw):
+    """Rank <= 2 families over one or two base variables whose coordinates
+    are zero, constant or varying, at most four of them varying."""
+    rank = draw(st.integers(1, 2))
+    base = draw(st.sampled_from([("b",), ("b", "c")]))
+    polys = ["0", "1", "-2", "1/2", "b", "b - 1", "b^2 + 1"]
+    if len(base) == 2:
+        polys += ["c", "b*c", "b + c"]
+    weight = st.tuples(*[st.integers(-2, 2)] * rank)
+    n_v = draw(st.integers(1, 3))
+    n_w = draw(st.integers(1, 2))
+    v = [parse_multi(draw(st.sampled_from(polys)), base) for _ in range(n_v)]
+    w = [parse_multi(draw(st.sampled_from(polys)), base) for _ in range(n_w)]
+    assume(sum(not (p.is_zero() or p.is_constant()) for p in v + w) <= 4)
+    return FamilyPair(
+        base,
+        TorusWeights(draw(st.lists(weight, min_size=n_v, max_size=n_v))),
+        TorusWeights(draw(st.lists(weight, min_size=n_w, max_size=n_w))),
+        tuple(v),
+        tuple(w),
+        GroupPresentation(rank, "torus"),
+    )
+
+
+class TestStrataLoop:
+    """`family_unstable_locus` walks the strata of the tagged loop it
+    replaced: the same components and the same support queries in order."""
+
+    @given(stratified_families())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_tagged_loop(self, fam):
+        with strata_calls() as ref_calls:
+            ref = ref_family_unstable_locus(fam)
+        with strata_calls() as calls:
+            pieces = family_unstable_locus(fam)
+        assert [gens_of(p) for p in pieces] == [gens_of(p) for p in ref]
+        assert calls == ref_calls

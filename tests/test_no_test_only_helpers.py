@@ -2,15 +2,14 @@
 package is used by the package.
 
 A helper that only tests call is dead weight: it has to be kept correct and
-read, yet no job ever runs it.  A module-level function or class counts as
-used when its name appears as a whole word on some line of `src/stabkit`
-other than its own `def` or `class` line, an import statement or an
-`__init__.py`.  A public non-dunder method of a class
-counts as used when `.name` appears on such a line.
+read, yet no job ever runs it.  Uses are read from the syntax trees of the
+modules of `src/stabkit` other than `__init__.py`, so a comment, a docstring
+or an import statement is no use.  A module-level function or class counts
+as used when its name is a name or an attribute in that code.  A public
+non-dunder method of a class counts as used when it is an attribute there.
 """
 
 import ast
-import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "stabkit"
@@ -28,18 +27,18 @@ def _modules() -> list[tuple[Path, ast.Module]]:
     ]
 
 
-def _usable_lines() -> list[tuple[Path, int, str]]:
-    """(file, line number, text) of every line that may count as a use."""
-    out = []
-    for path, tree in _modules():
-        skipped = set()
+def _uses(trees) -> tuple[set[str], set[str]]:
+    """The ids of every `ast.Name` and the attrs of every `ast.Attribute` in
+    the trees.  Imports bind `ast.alias` nodes, and comments and docstrings
+    are no such nodes, so none of them is a use."""
+    names, attrs = set(), set()
+    for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                skipped.update(range(node.lineno, node.end_lineno + 1))
-        for number, text in enumerate(path.read_text().splitlines(), 1):
-            if number not in skipped:
-                out.append((path, number, text))
-    return out
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return names, attrs
 
 
 def _module_names(kinds, private: bool) -> list[tuple[Path, int, str]]:
@@ -71,39 +70,42 @@ def _public_methods() -> list[tuple[Path, int, str, str]]:
     return out
 
 
-def _unused(defs, pattern) -> list[str]:
-    """Entries of defs, (file, def line, label, name), whose name matches
-    `pattern` on no usable line but their own def line."""
-    lines = _usable_lines()
-    unused = []
-    for path, def_line, label, name in defs:
-        word = re.compile(pattern(re.escape(name)))
-        if not any(
-            word.search(text) and (p, n) != (path, def_line) for p, n, text in lines
-        ):
-            unused.append(f"{path.relative_to(SRC)}:{def_line} {label}")
-    return unused
+def _package_uses(methods: bool) -> set[str]:
+    """What counts as a use in the package: names and attributes for a
+    module-level function or class, attributes alone for a method."""
+    names, attrs = _uses(tree for _, tree in _modules())
+    return attrs if methods else names | attrs
+
+
+def _unused(defs, used: set[str]) -> list[str]:
+    """Entries of defs, (file, def line, label, name), whose name is not in
+    `used`."""
+    return [
+        f"{path.relative_to(SRC)}:{def_line} {label}"
+        for path, def_line, label, name in defs
+        if name not in used
+    ]
 
 
 def test_every_public_function_has_a_caller_in_the_package():
     defs = [(p, n, name, name) for p, n, name in _public_functions() if name not in ALLOWED]
-    assert _unused(defs, lambda name: rf"\b{name}\b") == []
+    assert _unused(defs, _package_uses(methods=False)) == []
 
 
 def test_every_public_class_has_a_caller_in_the_package():
     defs = [(p, n, name, name) for p, n, name in _module_names(ast.ClassDef, private=False)]
-    assert _unused(defs, lambda name: rf"\b{name}\b") == []
+    assert _unused(defs, _package_uses(methods=False)) == []
 
 
 def test_every_private_function_and_class_is_used_in_the_package():
     private = _module_names((ast.FunctionDef, ast.ClassDef), private=True)
     defs = [(p, n, name, name) for p, n, name in private]
-    assert _unused(defs, lambda name: rf"\b{name}\b") == []
+    assert _unused(defs, _package_uses(methods=False)) == []
 
 
 def test_every_public_method_has_a_caller_in_the_package():
     defs = [(p, n, f"{cls}.{name}", name) for p, n, cls, name in _public_methods()]
-    assert _unused(defs, lambda name: rf"\.{name}\b") == []
+    assert _unused(defs, _package_uses(methods=True)) == []
 
 
 def test_allowlist_names_existing_functions():
@@ -114,7 +116,7 @@ def test_allowlist_names_existing_functions():
 def _stale(allowed) -> list[str]:
     """Allowlisted names that have a caller in the package after all."""
     defs = [(p, n, name, name) for p, n, name in _public_functions() if name in allowed]
-    unused = set(_unused(defs, lambda name: rf"\b{name}\b"))
+    unused = set(_unused(defs, _package_uses(methods=False)))
     return sorted(
         name for p, n, name, _ in defs if f"{p.relative_to(SRC)}:{n} {name}" not in unused
     )
@@ -127,3 +129,20 @@ def test_allowlist_names_only_functions_without_callers():
 def test_stale_allowlist_entry_is_caught():
     # pairs.supports_semistable and locus.point_degenerates call it
     assert _stale({"point_in_hull": "no caller"}) == ["point_in_hull"]
+
+
+def test_a_name_only_in_a_docstring_or_a_comment_is_unused():
+    source = (
+        "import helper\n"
+        "def helper():\n"
+        "    pass\n"
+        "def caller():\n"
+        '    """Would call helper() or obj.helper()."""\n'
+        "    # helper() and obj.helper() are not called here\n"
+        "    return helper_count, obj.helper_count\n"
+    )
+    names, attrs = _uses([ast.parse(source)])
+    defs = [(SRC / "module.py", 2, "helper", "helper")]
+    assert _unused(defs, names | attrs) == ["module.py:2 helper"]
+    assert _unused(defs, _uses([ast.parse("helper()")])[0]) == []
+    assert _unused(defs, _uses([ast.parse("obj.helper()")])[1]) == []

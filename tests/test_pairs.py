@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arc_helpers import elementary_arc, identity_arc
+from arc_helpers import arc_norm, arc_product, elementary_arc, identity_arc
 
 from stabkit import linprog
 from stabkit.groups import (
     Arc,
     GroupPresentation,
     TorusWeights,
-    arc_norm,
     mu_weight,
     sym_action,
 )
@@ -385,12 +384,12 @@ def reference_draw_arc(group, rng):
     for _ in range(rng.randint(1, 3)):
         if m >= 2 and rng.randint(0, 1) == 0:
             i, j = rng.sample(range(m), 2)
-            arc = arc @ elementary_arc(m, i, j, _random_laurent(rng))
+            arc = arc_product(arc, elementary_arc(m, i, j, _random_laurent(rng)))
         else:
             exps = [rng.randint(-2, 2) for _ in range(m)]
             if special:
                 exps[-1] = -sum(exps[:-1])
-            arc = arc @ Arc.one_ps(exps)
+            arc = arc_product(arc, Arc.one_ps(exps))
     return arc
 
 

@@ -162,7 +162,7 @@ class TestMultiKernel:
     @given(multi_polys, rationals)
     @settings(max_examples=100, deadline=None)
     def test_scale(self, a, c):
-        assert_clean_multi(a.scale(c), {m: k * c for m, k in a.terms.items()} if c else {})
+        assert_clean_multi(a * c, {m: k * c for m, k in a.terms.items()} if c else {})
 
     def test_constants_coerce(self):
         x = MultiPoly.var(RING, "x")
@@ -215,7 +215,7 @@ class TestReduction:
         # the S-polynomial comes out times their lcm
         assert a[2] > 0 and b[2] > 0
         s = _spoly(a, b)
-        expected = (left - right).scale(math.lcm(a[2], b[2]))
+        expected = (left - right) * math.lcm(a[2], b[2])
         assert_clean_multi(MultiPoly._trusted(RING, s), expected.terms)
         assert all(type(c) is int for c in s.values())
 
@@ -333,7 +333,7 @@ def golden_generators(name, perm):
     ring = [names[k] for k in perm]
     polys = [parse_multi(g, ring) for g in gens]
     if rescale:
-        polys = [g.scale(SCALES[k % len(SCALES)]) for k, g in enumerate(polys)]
+        polys = [g * SCALES[k % len(SCALES)] for k, g in enumerate(polys)]
     return polys, order
 
 
