@@ -7,24 +7,25 @@ polynomials in t; the valuation bookkeeping for weights never needs honest
 power-series expansion because inverses only ever show up through adjugates
 and determinant denominators.
 
-Polynomials of the group ring are evaluated at an arc in one place,
-`_at_arc`: one power table per entry is shared by every polynomial of the
-call, and each ginv^k is cleared there as det^(top - k).  Arcs enter arc
-weights and norms only through t-orders, so `image_order` reads ord0(arc.v)
-off them without forming arc.v in the Laurent field: a torus coordinate's
-order is a dot product of its weight with the valuations of the diagonal,
-and a matrix action contracts v into each row, meets the arc once per row
-through `_at_arc`, and subtracts top * val(det).  v is contracted as its
-primitive integer multiple, since ord0 does not change under a nonzero
-scalar, and a term with a positive exponent on a variable whose arc entry
-is zero is skipped before any product is formed.  `check_arc` reads only
-the group's kind and the arc's determinant; the relations are built where
-elimination reads them as polynomials.
+Arcs enter arc weights and norms only through t-orders, so `image_order`
+reads ord0(arc.v) off them without forming arc.v in the Laurent field: a
+torus coordinate's order is a dot product of its weight with the valuations
+of the diagonal.  A matrix action meets an arc by Kronecker substitution
+t -> 2^k (Harvey, J. Symbolic Comput. 44, 2009): each arc entry the action
+reads, its denominators cleared and its exponents shifted into Z[t], becomes
+one integer, and each row of the action, contracted with v's primitive
+integer coordinates, becomes one integer whose lowest set bit gives the
+row's t-order.  Each ginv^e is cleared as det^(top - e), and k comes from an
+a-priori bound on the coefficients that makes the reading exact; the
+`image_order` docstring states the bound and proves the reading.
+`check_arc` reads only the group's kind and the arc's determinant; the
+relations are built where elimination reads them as polynomials.
 
 Sym^d actions are built once per process for each group and degree and
-shared by every caller, and a matrix action keeps its torus weights once
-`rep_weights` has read them, so a job that reuses an earlier job's group
-and representation rebuilds neither.
+shared by every caller.  A matrix action keeps its torus weights once
+`rep_weights` has read them and its packed terms once `image_order` has
+first met an arc, so a job that reuses an earlier job's group and
+representation rebuilds none of them.
 """
 
 from __future__ import annotations
@@ -40,15 +41,7 @@ from typing import Sequence
 
 from .algebra.ideals import Ideal
 from .algebra.laurent import LaurentPoly, ord0
-from .algebra.multipoly import (
-    MultiPoly,
-    _add_into,
-    _exact,
-    _exponent,
-    _mul_into,
-    _scale_terms,
-    primitive,
-)
+from .algebra.multipoly import MultiPoly, _exact, _exponent, primitive
 
 INV_VAR = "ginv"
 
@@ -230,7 +223,7 @@ class MatrixAction:
     a job document.
     """
 
-    __slots__ = ("group", "matrix", "_weights")
+    __slots__ = ("group", "matrix", "_weights", "_packed")
 
     def __init__(self, group: GroupPresentation, matrix: Sequence[Sequence[MultiPoly]]):
         rows = tuple(tuple(row) for row in matrix)
@@ -244,6 +237,7 @@ class MatrixAction:
         self.group = group
         self.matrix = rows
         self._weights = None  # rep_weights' result, kept once it succeeds
+        self._packed = None  # _pack_terms' result, built when image_order first meets an arc
 
     @property
     def dim(self) -> int:
@@ -389,48 +383,6 @@ def check_action(action: MatrixAction) -> bool:
     return True
 
 
-def _at_arc(polys: Sequence[dict], arc: Arc) -> tuple[list[dict], int]:
-    """Polynomials of the group ring at an arc, with the inverse determinant
-    cleared: the one place where ginv meets an arc, serving `image_order`.
-
-    `polys` are term dicts over g11..gmm, ginv, and the arc's determinant is
-    nonzero.  With top the largest ginv exponent among them, returns the
-    term dicts of p(arc) * det^top, one per polynomial, and top.  A term's
-    ginv^k becomes det^(top - k).  A term with a positive exponent on a
-    variable whose entry is zero vanishes and is skipped before any of its
-    factors is multiplied.  The powers of each entry, and of det, come from
-    one table shared by every term of every polynomial.
-    """
-    entries = [e.terms for row in arc.matrix for e in row]
-    n = len(entries)
-    zeros = [v for v, base in enumerate(entries) if not base]
-    top = max((mono[n] for p in polys for mono in p), default=0)
-    tables = [[None, base] for base in entries]  # tables[v][e] = base^e, e >= 1
-    dets = [None, arc.det.terms]
-    for _ in range(top - 1):
-        dets.append(_mul_into({}, dets[-1], dets[1], operator.add))
-    tables.append(dets)
-    out = []
-    for p in polys:
-        acc: dict = {}
-        for mono, c in p.items():
-            if any(mono[v] for v in zeros):
-                continue
-            prod = None
-            for table, e in zip(tables, mono[:n] + (top - mono[n],)):
-                if not e:
-                    continue
-                while len(table) <= e:
-                    table.append(_mul_into({}, table[-1], table[1], operator.add))
-                if prod is None:
-                    prod = _scale_terms(table[e], c)
-                else:
-                    prod = _mul_into({}, prod, table[e], operator.add)
-            _add_into(acc, {0: c} if prod is None else prod)
-        out.append(acc)
-    return out, top
-
-
 def arcs_equivalent(a: Arc, b: Arc) -> bool:
     """Equivalence of arcs: both mixed composites are integral points.
 
@@ -533,9 +485,30 @@ def image_order(rep: Representation, arc: Arc, v: Sequence[Fraction]):
     norm_from_order share, for callers that need both of one arc.
 
     Read off t-orders, without forming arc.v.  At diag(u_1, ..., u_m) a torus
-    coordinate of weight chi has order <chi, (val u_1, ..., val u_m)>.  A
-    matrix action's coordinate is a numerator from `_at_arc` over det^top,
-    so a nonzero one has order val(numerator) - top * val(det).
+    coordinate of weight chi has order <chi, (val u_1, ..., val u_m)>.
+
+    A matrix action's coordinate is p(arc) for the row p = sum_j c_j g_ij,
+    where c is v's primitive integer multiple (ord0 ignores the scale) and
+    g_ij the action's entries.  Clearing each ginv^e as det^(top - e) makes
+    it N / det^top, so a nonzero one has order ord(N) - top * val(det).
+    ord(N) is read by Kronecker substitution.  With D the common denominator
+    of the arc entries the action reads (all of them when top > 0) and
+    lo = min(0, their lowest exponent), each entry e becomes E = D t^-lo e in
+    Z[t], and det becomes det(E).  A term of degree tau, det^(top - e)
+    counting m * (top - e), is padded by (D t^-lo)^(Delta - tau), Delta the
+    action's largest degree, and the row's coefficients are cleared by the
+    lcm L of their denominators: Q = L (D t^-lo)^Delta N lies in Z[t] and
+    ord(N) = ord(Q) + lo * Delta.  Since t -> 2^k is a ring homomorphism
+    Z[t] -> Z, Q(2^k) is one integer made from the integers E(2^k).
+
+    Exactness: if every coefficient a_i of Q has |a_i| < 2^(k-1), then
+    Q(2^k) = 2^(k ord Q) (a_ord + 2^k r) for an integer r, and a_ord != 0
+    has v2(a_ord) <= k - 2, so v2(Q(2^k)) = k ord(Q) + v2(a_ord) and
+    ord(Q) = v2(Q(2^k)) // k; and Q = 0 exactly when Q(2^k) = 0.  The
+    1-norm is submultiplicative and ||det(E)||_1 <= m! M^m, with
+    M = max(D, ||E||_1 over the entries read), so every |a_i| is at most
+    ||Q||_1 <= sum_j |c_j| ||L g_ij||_1 (m!)^top M^Delta, and k is one more
+    than the bit length of that bound.
     """
     if not any(map(_exact, v)):
         raise ValueError("v must be nonzero")
@@ -559,25 +532,104 @@ def image_order(rep: Representation, arc: Arc, v: Sequence[Fraction]):
             raise ValueError("vector length does not match the representation")
         if arc.det.is_zero():
             raise ValueError("invalid arc: zero determinant")
-        coords = primitive([_exact(c) for c in v])  # ord0 ignores the scale
-        rows = []
-        for row in rep.matrix:  # sum_j c_j * entry_ij in the group ring
-            acc: dict = {}
-            for c, entry in zip(coords, row):
-                if c:
-                    _add_into(acc, _scale_terms(entry.terms, c))
-            rows.append(acc)
-        nums, top = _at_arc(rows, arc)
-        return ord0(map(LaurentPoly._trusted, nums)) - top * arc.det.val
+        if rep._packed is None:
+            rep._packed = _pack_terms(rep)
+        coords = primitive([_exact(c) for c in v])
+        return _packed_order(rep._packed, arc, [(j, c) for j, c in enumerate(coords) if c])
     raise TypeError(f"unknown representation type {type(rep).__name__}")
+
+
+def _pack_terms(action: MatrixAction) -> tuple:
+    """The action's terms in the form `_packed_order` evaluates: (top,
+    Delta, the entry slots read, (slot, largest exponent) for each slot a
+    term uses, one tuple of (row, terms) per column, the largest
+    ||L g_ij||_1 of each column), as `image_order` defines them.
+
+    A term is (its coefficient times its row's L, its nonzero (slot,
+    exponent) factors).  Slots 0..n-1 are the entries g11..gmm, slot n is
+    det with exponent top - e for ginv^e, and slot n + 1 is the padding
+    D t^-lo with exponent Delta - tau.  Equal factors are one object.
+    """
+    m = action.group.size
+    n = m * m
+    monos = [mono for row in action.matrix for p in row for mono in p.terms]
+    top = max((mono[n] for mono in monos), default=0)
+    delta = max((sum(mono[:n]) + m * (top - mono[n]) for mono in monos), default=0)
+    largest = [0] * (n + 2)
+    factors: dict = {}
+    columns = [[] for _ in range(action.dim)]
+    norms = [0] * action.dim
+    for i, row in enumerate(action.matrix):
+        scale = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
+        for j, p in enumerate(row):
+            if not p.terms:
+                continue
+            terms = []
+            for mono, c in p.terms.items():
+                det = top - mono[n]
+                exps = mono[:n] + (det, delta - sum(mono[:n]) - m * det)
+                for slot, e in enumerate(exps):
+                    largest[slot] = max(largest[slot], e)
+                key = tuple(factors.setdefault((s, e), (s, e)) for s, e in enumerate(exps) if e)
+                terms.append((c.numerator * (scale // c.denominator), key))
+            columns[j].append((i, tuple(terms)))
+            norms[j] = max(norms[j], sum(abs(c) for c, _ in terms))
+    reads = tuple(range(n)) if top else tuple(s for s in range(n) if largest[s])
+    slots = tuple((s, e) for s, e in enumerate(largest) if e)
+    return top, delta, reads, slots, tuple(map(tuple, columns)), tuple(norms)
+
+
+def _packed_order(packed: tuple, arc: Arc, coords: list[tuple[int, int]]):
+    """ord0 of the image of the vector with nonzero primitive coordinates
+    `coords`, (column, value) pairs, under the action `_pack_terms` packed,
+    at an arc of nonzero determinant: `image_order`'s Kronecker reading."""
+    top, delta, reads, slots, columns, norms = packed
+    m = arc.size
+    n = m * m
+    entries = [e.terms for row in arc.matrix for e in row]
+    read = [entries[s] for s in reads]
+    den = math.lcm(*[c.denominator for terms in read for c in terms.values()])
+    lo = min([0, *[e for terms in read for e in terms]])
+    big = int(den * max([1, *[sum(map(abs, terms.values())) for terms in read]]))
+    bound = sum([abs(c) * norms[j] for j, c in coords])
+    k = (bound * math.factorial(m) ** top * big**delta).bit_length() + 1
+    powers = [None] * (n + 2)
+    for s, largest in slots:
+        if s < n:
+            x = sum([int(c * den) << (k * (e - lo)) for e, c in entries[s].items()])
+        elif s == n:
+            scale = den**m
+            x = sum([int(c * scale) << (k * (e - m * lo)) for e, c in arc.det.terms.items()])
+        else:
+            x = den << (-k * lo)
+        table = [1, x]
+        while len(table) <= largest:
+            table.append(table[-1] * x)
+        powers[s] = table
+    rows: dict = {}
+    for j, c in coords:
+        for i, terms in columns[j]:
+            acc = 0
+            for coeff, key in terms:
+                for s, e in key:
+                    coeff *= powers[s][e]
+                acc += coeff
+            rows[i] = rows.get(i, 0) + c * acc
+    found = [((x & -x).bit_length() - 1) // k for x in rows.values() if x]
+    if not found:
+        raise ValueError("ord0 of an all-zero vector is undefined")
+    return min(found) + lo * delta - top * arc.det.val
 
 
 def mu_from_order(ord_v, rep_w: Representation, w: Sequence[Fraction], arc: Arc):
     """Arc weight ord0(arc.w) - ord_v, with ord_v = image_order(rep_v, arc, v);
     +infinity when w = 0, which must still fit rep_w and the arc."""
     if not any(map(_exact, w)):
-        if isinstance(rep_w, TorusWeights) and arc.size != rep_w.rank:
-            raise ValueError("arc size does not match the torus rank")
+        if isinstance(rep_w, TorusWeights):
+            if arc.size != rep_w.rank:
+                raise ValueError("arc size does not match the torus rank")
+        elif arc.size != rep_w.group.size:
+            raise ValueError("arc size does not match the group")
         if len(w) != rep_w.dim:
             raise ValueError("vector length does not match the representation")
         return math.inf

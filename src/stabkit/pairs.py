@@ -25,7 +25,7 @@ from typing import Sequence
 from . import linprog
 from .algebra.ideals import Budget
 from .algebra.laurent import LaurentPoly
-from .algebra.multipoly import _exact, primitive
+from .algebra.multipoly import _exact, _mul_into, primitive
 from .algebra.parser import format_rational
 from .groups import (
     Arc,
@@ -356,23 +356,22 @@ def _draw_arc(group: GroupPresentation, rng: random.Random) -> Arc:
     special = group.kind == "special-linear"
     # The product of one to three factors, each an elementary matrix or a
     # one-parameter subgroup, built from the identity by the column
-    # operation that multiplying by the factor on the right performs.
-    rows = [[LaurentPoly.constant(int(r == c)) for c in range(m)] for r in range(m)]
+    # operation that multiplying by the factor on the right performs, on
+    # term dicts that become the arc's entries at the end.
+    rows = [[{0: 1} if r == c else {} for c in range(m)] for r in range(m)]
     for _ in range(rng.randint(1, 3)):
         if m >= 2 and rng.randint(0, 1) == 0:
             i, j = rng.sample(range(m), 2)
-            off = _random_laurent(rng)
+            off = _random_laurent(rng).terms
             for row in rows:  # column j += off * column i
-                if not row[i].is_zero():
-                    row[j] = row[j] + row[i] * off
+                _mul_into(row[j], row[i], off, operator.add)
         else:
             exps = [rng.randint(-2, 2) for _ in range(m)]
             if special:
                 exps[-1] = -sum(exps[:-1])
-            powers = [LaurentPoly.t_power(e) for e in exps]
             for row in rows:  # column k *= t^exps[k]
-                row[:] = map(operator.mul, row, powers)
-    return Arc(rows)
+                row[:] = [{x + e: c for x, c in terms.items()} for terms, e in zip(row, exps)]
+    return Arc([[LaurentPoly._trusted(terms) for terms in row] for row in rows])
 
 
 def _random_laurent(rng: random.Random) -> LaurentPoly:

@@ -589,6 +589,41 @@ class TestExecuteJob:
         witness = report["certificate"]["containment"][0]
         assert witness["coefficients"] == ["1/2", "1/2"]
 
+    def test_a_sym_action_is_packed_once_and_shared(self, monkeypatch):
+        """The first arc weight that reads a Sym^d action packs its terms;
+        a later job on the same group and degree reuses them, and an
+        action that has never met an arc holds none."""
+        groups._sym_action.cache_clear()
+        packed = []
+        pack = groups._pack_terms
+        monkeypatch.setattr(
+            groups, "_pack_terms", lambda action: packed.append(action) or pack(action)
+        )
+        sl2 = {"kind": "special-linear", "size": 2}
+        job = {
+            "schema_version": 1,
+            "kind": "arcs.weight",
+            "payload": {
+                "group": sl2,
+                "rep_v": {"kind": "sym", "degree": 3},
+                "rep_w": {"kind": "sym", "degree": 1},
+                "v": [1, 0, 2, 0],
+                "w": [0, 1],
+                "arc": [["t", "1 + t^2"], ["0", "t^-1"]],
+            },
+        }
+        first = execute_job(job)
+        action = sym_action(GroupPresentation(2, "special-linear"), 3)
+        kept = action._packed
+        assert kept is not None
+        assert execute_job(job)["values"] == first["values"]
+        assert action._packed is kept
+        assert [a.dim for a in packed] == [4, 2]
+        assert sym_action(GroupPresentation(2, "special-linear"), 2)._packed is None
+        diagonal = groups.diagonal_action(GroupPresentation(1, "torus"), [[1], [-2]])
+        assert groups.rep_weights(diagonal, 1) == [(1,), (-2,)]
+        assert diagonal._packed is None
+
     def test_oracle_verdict(self):
         job = {
             "schema_version": 1,

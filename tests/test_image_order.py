@@ -1,6 +1,7 @@
 """`image_order` reads ord0(arc.v) off t-orders; it is checked against a
 copy of the `act` it replaced, which formed every coordinate of arc.v as a
-`LaurentFrac` and took ord0 of the result.  Errors must match to the
+`LaurentFrac` and took ord0 of the result, through `at_arc`, the term-dict
+evaluator that the packed-integer one replaced.  Errors must match to the
 message."""
 
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arc_helpers import arc_product, elementary_arc, identity_arc
+from arc_helpers import arc_product, at_arc, elementary_arc, identity_arc
 
 from stabkit.algebra import LaurentFrac, LaurentPoly, MultiPoly, ord0
 from stabkit.algebra import parse_laurent as t
@@ -22,7 +23,7 @@ from stabkit.groups import (
     GroupPresentation,
     MatrixAction,
     TorusWeights,
-    _at_arc,
+    diagonal_action,
     image_order,
     mu_from_order,
     sym_action,
@@ -43,7 +44,7 @@ def ref_act(rep, arc, vector):
     """The old `groups.act`: the image of a rational vector under the arc,
     coordinate by coordinate, as Laurent-field elements.  It differs in two
     places only: powers are taken by repeated product, and det^top is built
-    from the top that `_at_arc` now returns instead of the terms of det^top."""
+    from the top that `at_arc` returns instead of the terms of det^top."""
     if isinstance(rep, TorusWeights):
         if arc.size != rep.rank:
             raise ValueError("arc size does not match the torus rank")
@@ -84,7 +85,7 @@ def ref_act(rep, arc, vector):
                 if c:
                     _add_into(acc, _scale_terms(entry.terms, c))
             rows.append(acc)
-        nums, top = _at_arc(rows, arc)
+        nums, top = at_arc(rows, arc)
         den = ref_power(arc.det, top)
         return [LaurentFrac(LaurentPoly(num), den) for num in nums]
     raise TypeError(f"unknown representation type {type(rep).__name__}")
@@ -218,6 +219,8 @@ class TestAgainstAct:
             # a zero w must still fit the representation and the arc
             if isinstance(rep, TorusWeights) and arc.size != rep.rank:
                 assert got == ("raised", ValueError, "arc size does not match the torus rank")
+            elif isinstance(rep, MatrixAction) and arc.size != rep.group.size:
+                assert got == ("raised", ValueError, "arc size does not match the group")
             elif len(w) != rep.dim:
                 message = "vector length does not match the representation"
                 assert got == ("raised", ValueError, message)
@@ -228,8 +231,162 @@ class TestAgainstAct:
             assert got == (want if isinstance(want, tuple) else want - ord_v)
 
 
+GL1 = GroupPresentation(1, "general-linear")
+GL3 = GroupPresentation(3, "general-linear")
+TORI = {r: GroupPresentation(r, "torus") for r in (1, 2, 3)}
+
+large = st.integers(min_value=-(10**6), max_value=10**6)
+# a multiple of a large power of two: a lowest coefficient that 2^k divides
+# would be read at the wrong order
+two_adic = st.builds(
+    lambda c, e: c << e,
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=8, max_value=19),
+)
+large_coefficients = st.one_of(
+    small,
+    large,
+    two_adic,
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=1000),
+)
+large_laurents = st.dictionaries(
+    st.integers(min_value=-3, max_value=3), large_coefficients.filter(bool), min_size=1, max_size=3
+).map(LaurentPoly)
+arc_entries = st.one_of(laurents, large_laurents, large_laurents)
+
+
+def large_vectors(dim):
+    nonzero = large_coefficients.filter(bool)
+    coordinate = st.one_of(st.just(0), nonzero, nonzero, nonzero)
+    return st.lists(coordinate, min_size=dim, max_size=dim)
+
+
+def polys(group, exponents, coefficients):
+    """Polynomials in the group ring, zero included, with ginv among the
+    variables."""
+    monos = st.tuples(*([exponents] * len(group.variables)))
+    terms = st.dictionaries(monos, coefficients.filter(bool), max_size=3)
+    return terms.map(lambda t: MultiPoly(group.variables, t))
+
+
+@st.composite
+def mixed_arcs(draw, m):
+    """A diagonal arc of Laurent entries, now and then with a zero one,
+    times up to two elementary factors."""
+    diagonal = draw(st.lists(arc_entries, min_size=m, max_size=m))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        diagonal[draw(st.integers(min_value=0, max_value=m - 1))] = LaurentPoly.zero()
+    arc = Arc.diagonal_arc(diagonal)
+    for _ in range(draw(st.integers(min_value=0, max_value=2 if m > 1 else 0))):
+        i, j = draw(st.permutations(range(m)))[:2]
+        arc = arc_product(arc, elementary_arc(m, i, j, draw(arc_entries)))
+    return arc
+
+
+@st.composite
+def packed_cases(draw):
+    """Matrix actions of every shape `image_order` packs: diagonal torus
+    actions with negative weights (ginv with top > 0), GL1 and GL2 matrices
+    in which ginv occurs with Fraction coefficients, Sym^1..12, the GL3
+    standard action and the trivial one, at rational arcs whose
+    coefficients reach 10^6 and whose entries may be zero."""
+    kind = draw(st.sampled_from(["torus", "gl1", "gl2", "sym", "gl3", "trivial"]))
+    if kind == "torus":
+        rank = draw(st.integers(min_value=1, max_value=3))
+        weight = st.lists(st.integers(min_value=-3, max_value=3), min_size=rank, max_size=rank)
+        action = diagonal_action(TORI[rank], draw(st.lists(weight, min_size=1, max_size=3)))
+    elif kind in ("gl1", "gl2"):
+        group = GL1 if kind == "gl1" else GL2
+        dim = draw(st.integers(min_value=1, max_value=2))
+        exponents = st.integers(min_value=0, max_value=3 if kind == "gl1" else 2)
+        row = st.lists(polys(group, exponents, large_coefficients), min_size=dim, max_size=dim)
+        action = MatrixAction(group, draw(st.lists(row, min_size=dim, max_size=dim)))
+    elif kind == "sym":
+        group = draw(st.sampled_from([SL2, GL2]))
+        action = sym_action(group, draw(st.integers(min_value=1, max_value=12)))
+    elif kind == "gl3":
+        action = MatrixAction(
+            GL3, [[MultiPoly.var(GL3.variables, f"g{i}{j}") for j in "123"] for i in "123"]
+        )
+    else:
+        group = draw(st.sampled_from([GL1, SL2, GL3, TORI[2]]))
+        action = MatrixAction(group, [[MultiPoly.constant(group.variables, 1)]])
+    arc = draw(mixed_arcs(action.group.size))
+    return action, arc, draw(large_vectors(action.dim))
+
+
+@st.composite
+def cancelling_cases(draw):
+    """Arcs whose first-row entries agree in their low orders, b + t^s r,
+    under actions made of differences of those entries: the image loses its
+    low orders, and is zero when the two r agree."""
+    ring = GL2.variables
+    base = draw(large_laurents)
+    shift = LaurentPoly.t_power(base.val + draw(st.integers(min_value=1, max_value=4)))
+    tail = st.dictionaries(
+        st.integers(min_value=0, max_value=2), large_coefficients.filter(bool), max_size=2
+    ).map(LaurentPoly)
+    r = draw(tail)
+    again = r if draw(st.integers(min_value=0, max_value=3)) == 0 else draw(tail)
+    first = [base + shift * r, base + shift * again]
+    arc = Arc([first, draw(st.lists(large_laurents, min_size=2, max_size=2))])
+    g11, g12, g21, g22, ginv = (MultiPoly.var(ring, name) for name in ring)
+    factors = st.sampled_from([MultiPoly.constant(ring, 1), g21, g22, ginv, ginv * ginv])
+    entry = st.builds(
+        lambda c, f, square: (g11 - g12) * (g11 - g12 if square else f) * c,
+        large_coefficients.filter(bool),
+        factors,
+        st.booleans(),
+    )
+    dim = draw(st.integers(min_value=1, max_value=2))
+    rows = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    return MatrixAction(GL2, draw(rows)), arc, draw(large_vectors(dim))
+
+
+class TestPackedAgainstTermDicts:
+    """The packed-integer reading of matrix actions against `at_arc` on term
+    dicts, through `ref_image_order`: same orders, same errors."""
+
+    @given(packed_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matrix_actions(self, case):
+        action, arc, v = case
+        got = outcome(image_order, action, arc, v)
+        assert got == outcome(ref_image_order, action, arc, v)
+        assert isinstance(got, tuple) or type(got) is int
+
+    @given(cancelling_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_low_orders_that_cancel(self, case):
+        action, arc, v = case
+        assert outcome(image_order, action, arc, v) == outcome(ref_image_order, action, arc, v)
+
+    @pytest.mark.parametrize(
+        "entry, arc, order",
+        [
+            ("g11 - g22", [["1 + t^3", "0"], ["0", "1 + 2*t^3"]], 3),
+            ("g11 - g22", [["1 + t^3", "0"], ["0", "1 + t^3"]], None),
+            ("g11 - g22", [["t^-1 + 1048576*t", "0"], ["0", "t^-1"]], 1),
+            ("1000000*g11 - 999999*g22", [["1/3 + t", "0"], ["0", "1000000/2999997"]], 1),
+            ("g11*ginv - g22*ginv", [["t^-2 + t^4", "0"], ["0", "t^-2 + 7/5*t^4"]], 8),
+            ("g11^3 - 3*g11^2*g22 + 3*g11*g22^2 - g22^3", [["1 + t", "0"], ["0", "1"]], 3),
+        ],
+        ids=["orders-0-cancel", "all-zero", "two-adic", "large-rational", "ginv", "cube"],
+    )
+    def test_known_cancellations(self, entry, arc, order):
+        action = MatrixAction(GL2, [[parse_multi(entry, GL2.variables)]])
+        arc = Arc([[t(e) for e in row] for row in arc])
+        if order is None:
+            want = ("raised", ValueError, "ord0 of an all-zero vector is undefined")
+        else:
+            want = order
+        assert outcome(image_order, action, arc, [1]) == want
+        assert outcome(ref_image_order, action, arc, [1]) == want
+
+
 T2 = TorusWeights([(1, -1), (0, 2)])
 ONE = [Fraction(1), Fraction(1)]
+TRIVIAL_SL2 = MatrixAction(SL2, [[parse_multi("1", SL2.variables)]])
 
 # Both rows are g11 * (v1 - v2): the image of (1, 1) is zero.
 CANCELLING = MatrixAction(GL2, [[parse_multi(s, GL2.variables) for s in ("g11", "-g11")]] * 2)
@@ -248,11 +405,20 @@ CANCELLING = MatrixAction(GL2, [[parse_multi(s, GL2.variables) for s in ("g11", 
         ),
         (T2, Arc.one_ps([1]), [0, 0], "arc size does not match the torus rank"),
         (T2, Arc.one_ps([1, 1, 1]), [0, 0], "arc size does not match the torus rank"),
+        (TRIVIAL_SL2, Arc.one_ps([1, 0, -1]), [0], "arc size does not match the group"),
+        (sym_action(SL2, 2), Arc.one_ps([1]), [0, 0, 0], "arc size does not match the group"),
     ],
 )
 def test_a_zero_w_must_fit_the_representation_and_the_arc(rep, arc, w, message):
     # w = 0 has weight +infinity without an image order, but is still checked
     assert outcome(mu_from_order, 0, rep, w, arc) == ("raised", ValueError, message)
+
+
+def test_a_zero_w_is_checked_as_a_nonzero_one_is():
+    arc = Arc.one_ps([1, 0, -1])
+    want = ("raised", ValueError, "arc size does not match the group")
+    assert outcome(mu_from_order, 0, TRIVIAL_SL2, [0], arc) == want
+    assert outcome(mu_from_order, 0, TRIVIAL_SL2, [1], arc) == want
 
 
 @pytest.mark.parametrize(

@@ -19,14 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arc_helpers import arc_product, elementary_arc, identity_arc
+from arc_helpers import arc_product, at_arc, elementary_arc, identity_arc
 
 from stabkit.algebra import GREVLEX, LEX, LaurentPoly, MonomialOrder, MultiPoly
 from stabkit.algebra import parse_laurent, parse_multi
 from stabkit.algebra.ideals import _lead, _normal_form, _spoly
 from stabkit.algebra.multipoly import _mul_mono, mono_div, mono_divides, mono_lcm
 from stabkit.cli import main
-from stabkit.groups import Arc, GroupPresentation, MatrixAction, _at_arc, image_order, sym_action
+from stabkit.groups import Arc, GroupPresentation, MatrixAction, image_order, sym_action
 
 RING = ("x", "y", "z")
 ORDERS = [GREVLEX, LEX, MonomialOrder("block", split=1)]
@@ -247,12 +247,12 @@ class TestActAgainstFractionKernel:
     @given(act_cases())
     @settings(max_examples=150, deadline=None)
     def test_act(self, case):
-        """The numerators `_at_arc` gives over det^top are the all-Fraction
+        """The numerators `at_arc` gives over det^top are the all-Fraction
         ones, held as kernel terms, and `image_order` is their order."""
         action, arc, vector = case
         zero = MultiPoly.zero(action.group.variables)
         rows = [sum(map(operator.mul, row, vector), zero).terms for row in action.matrix]
-        nums, top = _at_arc(rows, arc)
+        nums, top = at_arc(rows, arc)
         want, den = frac_act(action, arc, vector)
         assert nums == want
         assert den == frac_pow(arc.det.terms, top, 0, operator.add)
