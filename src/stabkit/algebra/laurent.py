@@ -14,7 +14,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .multipoly import _add_into, _exact, _exponent, _mul_into, _scale_terms
+from .multipoly import _add_into, _exact, _exponent, _mul_into, _quo, _scale_terms
 
 
 class LaurentPoly:
@@ -55,6 +55,9 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     @property
     def val(self):
@@ -103,6 +106,27 @@ class LaurentPoly:
         return LaurentPoly._trusted(_mul_into({}, self.terms, other.terms, operator.add))
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "LaurentPoly":
+        """The exact quotient in Q[t, t^-1], by long division from the top
+        term; ValueError when the top term of a remainder needs a quotient
+        exponent below val(self) - val(other), where no Laurent quotient is."""
+        other = LaurentPoly._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.terms:
+            raise ZeroDivisionError("Laurent division by zero")
+        rem = dict(self.terms)
+        top = max(other.terms)
+        low = min(rem, default=0) - min(other.terms)
+        quot = {}
+        while rem:
+            e = max(rem)
+            if e - top < low:
+                raise ValueError("not divisible: the quotient is not a Laurent polynomial")
+            c = quot[e - top] = _quo(rem[e], other.terms[top])
+            _mul_into(rem, {e - top: -c}, other.terms, operator.add)
+        return LaurentPoly._trusted(quot)
 
     def scale(self, c) -> "LaurentPoly":
         c = _exact(c)

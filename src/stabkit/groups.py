@@ -4,8 +4,8 @@ A group is presented by polynomial relations on the m*m entry variables plus
 one inverse-determinant variable, so arcs automatically have invertible
 determinant wherever the relations hold.  Arcs are matrices of Laurent
 polynomials in t; the valuation bookkeeping for weights never needs honest
-power-series expansion because inverses only ever show up through adjugates
-and determinant denominators.
+power-series expansion: an arc's inverse only ever shows up as det(a) a^-1 b,
+a Laurent matrix that fraction-free elimination returns.
 
 Arcs enter arc weights and norms only through t-orders, so `image_order`
 reads ord0(arc.v) off them without forming arc.v in the Laurent field: a
@@ -75,38 +75,38 @@ def det_polynomial(m: int, variables: Sequence[str]) -> MultiPoly:
     return MultiPoly._trusted(variables, terms)
 
 
-def _det(matrix) -> LaurentPoly:
-    """Determinant of a Laurent matrix by cofactor expansion along the first
-    row, skipping zero entries."""
-    m = len(matrix)
-    if m == 1:
-        return matrix[0][0]
-    out = LaurentPoly.zero()
-    for j, entry in enumerate(matrix[0]):
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = entry * _det(minor)
-        out = out - term if j % 2 else out + term
-    return out
+def _eliminate(a, b=None):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of a square
+    matrix a over `Fraction` or `LaurentPoly`, whose `/` divides exactly.
 
-
-def _rational_det(matrix) -> Fraction:
-    """Determinant of a rational matrix by Gaussian elimination."""
-    rows = [[Fraction(e) for e in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(len(rows)):
-        i = next((i for i in range(col, len(rows)) if rows[i][col]), None)
-        if i is None:
-            return Fraction(0)
-        if i != col:
-            rows[col], rows[i], det = rows[i], rows[col], -det
-        head = rows[col]
-        det *= head[col]
-        for row in rows[col + 1 :]:
-            f = row[col] / head[col]
-            row[col:] = [a - f * b for a, b in zip(row[col:], head[col:])]
-    return det
+    Without b, returns det(a) by forward elimination.  With a block b of as
+    many rows, runs one-step Gauss-Jordan on [a | b] and returns (d, d a^-1 b)
+    for d = +-det(a); a must be nonsingular.  Each updated entry is a minor
+    of [a | b] (Sylvester's identity), so its division by the previous pivot
+    is exact.  The first pivot divides nothing and a product with a zero
+    factor is not formed, so a 2x2 determinant costs at most a11*a22 - a21*a12.
+    """
+    m = len(a)
+    rows = [list(row) for row in a] if b is None else [[*r, *s] for r, s in zip(a, b)]
+    sign, prev = 1, None
+    for k in range(m):
+        if not rows[k][k]:
+            p = next((i for i in range(k + 1, m) if rows[i][k]), None)
+            if p is None:
+                if b is None:
+                    return rows[k][k]
+                raise ValueError("elimination needs a nonsingular matrix")
+            rows[k], rows[p], sign = rows[p], rows[k], -sign
+        head = rows[k]
+        pivot, rest = head[k], head[k + 1 :]
+        for row in rows[k + 1 :] if b is None else rows[:k] + rows[k + 1 :]:
+            f = row[k]
+            new = [pivot * x - f * y if f and y else pivot * x for x, y in zip(row[k + 1 :], rest)]
+            row[k + 1 :] = new if prev is None else [x / prev for x in new]
+        prev = pivot
+    if b is None:
+        return prev if sign > 0 else -prev
+    return prev, [row[m:] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ class GroupPresentation:
                 mat = [
                     [Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)
                 ]
-                if _rational_det(mat):
+                if _eliminate(mat):
                     return mat
         # special-linear: the identity after three elementary row operations
         mat = _diag_matrix([Fraction(1)] * m, Fraction(0))
@@ -244,7 +244,7 @@ class MatrixAction:
         return len(self.matrix)
 
     def evaluate_rational(self, point: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-        det = _rational_det(point)
+        det = _eliminate([[Fraction(e) for e in row] for row in point])
         if det == 0:
             raise ValueError("singular matrix is not a group point")
         values = {f"g{i}{j}": e for i, row in enumerate(point, 1) for j, e in enumerate(row, 1)}
@@ -284,7 +284,7 @@ class Arc:
     @property
     def det(self) -> LaurentPoly:
         if self._det is None:
-            self._det = _det(self.matrix)
+            self._det = _eliminate(self.matrix)
         return self._det
 
     def entries(self) -> list[LaurentPoly]:
@@ -324,25 +324,6 @@ class Arc:
             ", ".join(format_laurent(e) for e in row) for row in self.matrix
         )
         return f"Arc[{rows}]"
-
-
-def _laurent_adjugate(matrix) -> list[list[LaurentPoly]]:
-    m = len(matrix)
-    if m == 1:
-        return [[LaurentPoly.constant(1)]]
-    adj = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            minor = [
-                [matrix[r][c] for c in range(m) if c != j]
-                for r in range(m)
-                if r != i
-            ]
-            cof = _det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof  # transpose of cofactors
-    return adj
 
 
 def check_arc(group: GroupPresentation, arc: Arc) -> bool:
@@ -386,10 +367,10 @@ def check_action(action: MatrixAction) -> bool:
 def arcs_equivalent(a: Arc, b: Arc) -> bool:
     """Equivalence of arcs: both mixed composites are integral points.
 
-    a^{-1} b and b a^{-1} share denominator det(a); their entries are
+    a^{-1} b and b a^{-1} share denominator det(a); elimination gives their
+    numerators, from [a | b] and from the transposes.  The entries are
     integral iff every numerator valuation clears val(det a), and the shared
-    determinant det(b)/det(a) is a power-series unit iff the determinant
-    valuations agree.
+    determinant det(b)/det(a) is a power-series unit iff the valuations agree.
     """
     if a.size != b.size:
         raise ValueError("size mismatch between arcs")
@@ -398,16 +379,10 @@ def arcs_equivalent(a: Arc, b: Arc) -> bool:
         raise ValueError("invalid arc: zero determinant")
     if da.val != db.val:
         return False
-    adj = _laurent_adjugate(a.matrix)
-    zero = LaurentPoly.zero()
-    left = _matmul(adj, b.matrix, zero)  # a^{-1} b numerators
-    right = _matmul(b.matrix, adj, zero)  # b a^{-1} numerators
-    bound = da.val
-    for mat in (left, right):
-        for row in mat:
-            for entry in row:
-                if entry.val < bound:
-                    return False
+    for left, right in ((a.matrix, b.matrix), (list(zip(*a.matrix)), list(zip(*b.matrix)))):
+        _, x = _eliminate(left, right)
+        if any(entry.val < da.val for row in x for entry in row):
+            return False
     return True
 
 

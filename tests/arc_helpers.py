@@ -1,10 +1,12 @@
 """Arcs and arc arithmetic that tests use and the package does not: the
 identity, the elementary matrices, the product of two arcs, the arc norm as
-one call, and group-ring polynomials evaluated at an arc on term dicts.  The
+one call, group-ring polynomials evaluated at an arc on term dicts, and the
+cofactor determinant, adjugate and adjugate rule of arc equivalence.  The
 falsifier applies elementary factors as column operations instead of
 building them, `arcs.weight` composes the norm from `image_order`,
-`deg_of_rep` and `norm_from_order` itself, and `image_order` evaluates
-matrix actions in packed integers."""
+`deg_of_rep` and `norm_from_order` itself, `image_order` evaluates matrix
+actions in packed integers, and determinants and equivalence come from one
+fraction-free elimination."""
 
 import operator
 
@@ -79,3 +81,58 @@ def at_arc(polys, arc: Arc) -> tuple[list[dict], int]:
             _add_into(acc, {0: c} if prod is None else prod)
         out.append(acc)
     return out, top
+
+
+def laurent_det(matrix) -> LaurentPoly:
+    """Determinant of a Laurent matrix by cofactor expansion along the first
+    row, skipping zero entries: the package's determinant before it
+    eliminated, kept as its reference."""
+    m = len(matrix)
+    if m == 1:
+        return matrix[0][0]
+    out = LaurentPoly.zero()
+    for j, entry in enumerate(matrix[0]):
+        if entry.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        term = entry * laurent_det(minor)
+        out = out - term if j % 2 else out + term
+    return out
+
+
+def laurent_adjugate(matrix) -> list[list[LaurentPoly]]:
+    """The transpose of the cofactor matrix, each cofactor a `laurent_det`."""
+    m = len(matrix)
+    if m == 1:
+        return [[LaurentPoly.constant(1)]]
+    adj = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            minor = [
+                [matrix[r][c] for c in range(m) if c != j]
+                for r in range(m)
+                if r != i
+            ]
+            cof = laurent_det(minor)
+            if (i + j) % 2:
+                cof = -cof
+            adj[j][i] = cof  # transpose of cofactors
+    return adj
+
+
+def adjugate_equivalent(a: Arc, b: Arc) -> bool:
+    """`arcs_equivalent` by the adjugate: adj(a) b and b adj(a), the
+    numerators of a^-1 b and b a^-1 over det(a), must have every entry of
+    order at least val(det a), and the determinant valuations must agree."""
+    if a.size != b.size:
+        raise ValueError("size mismatch between arcs")
+    da, db = laurent_det(a.matrix), laurent_det(b.matrix)
+    if da.is_zero() or db.is_zero():
+        raise ValueError("invalid arc: zero determinant")
+    if da.val != db.val:
+        return False
+    adj = laurent_adjugate(a.matrix)
+    zero = LaurentPoly.zero()
+    left = _matmul(adj, b.matrix, zero)
+    right = _matmul(b.matrix, adj, zero)
+    return all(entry.val >= da.val for mat in (left, right) for row in mat for entry in row)

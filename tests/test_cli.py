@@ -1,6 +1,8 @@
 """Command-line interface: reports, exit codes, determinism, corpus checks."""
 
 import json
+import random
+import time
 from importlib import resources
 
 import jsonschema
@@ -623,6 +625,22 @@ class TestExecuteJob:
         diagonal = groups.diagonal_action(GroupPresentation(1, "torus"), [[1], [-2]])
         assert groups.rep_weights(diagonal, 1) == [(1,), (-2,)]
         assert diagonal._packed is None
+
+    def test_a_dense_size_nine_arc_is_equivalent_to_itself_in_seconds(self):
+        """Every entry has two terms of exponents -1..2.  Elimination takes
+        well under a second; the bound leaves room for a slow host."""
+        rng = random.Random(9)
+
+        def entry():
+            low, high = rng.sample(range(-1, 3), 2)
+            return f"{rng.choice([-2, -1, 1, 2])}*t^{low} + {rng.randint(1, 3)}*t^{high}"
+
+        arc = [[entry() for _ in range(9)] for _ in range(9)]
+        job = {"schema_version": 1, "kind": "arcs.equiv", "payload": {"arc_a": arc, "arc_b": arc}}
+        start = time.perf_counter()
+        report = execute_job(job)
+        assert time.perf_counter() - start < 5
+        assert report["verdict"] == "equivalent"
 
     def test_oracle_verdict(self):
         job = {

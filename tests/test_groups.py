@@ -321,14 +321,17 @@ class TestCheckAction:
             ]
             if rng.random() < 0.3:  # a repeated row: singular
                 mat[-1] = list(mat[0])
-            assert groups._rational_det(mat) == cofactor_rational_det(mat)
+            assert groups._eliminate(mat) == cofactor_rational_det(mat)
 
     @pytest.mark.parametrize("kind", ["general-linear", "special-linear", "torus"])
     def test_large_matrix_actions_are_checked_without_cofactor_expansion(self, kind, monkeypatch):
-        def no_cofactors(*args):
-            raise AssertionError("cofactor determinant of a rational matrix")
-
-        monkeypatch.setattr(groups, "_det", no_cofactors)
+        """Every determinant of an 8x8 group point is one elimination, never
+        an 8!-term expansion."""
+        sizes = []
+        eliminate = groups._eliminate
+        monkeypatch.setattr(
+            groups, "_eliminate", lambda a, b=None: sizes.append(len(a)) or eliminate(a, b)
+        )
         group = GroupPresentation(8, kind)
         entries = [
             [MultiPoly.var(group.variables, f"g{i}{j}") for j in range(1, 9)] for i in range(1, 9)
@@ -336,6 +339,7 @@ class TestCheckAction:
         standard = MatrixAction(group, entries)
         assert check_action(standard)
         assert not check_action(MatrixAction(group, [[entries[0][0] + 1]]))
+        assert set(sizes) == {8}
 
 
 class TestSharedActions:

@@ -445,6 +445,25 @@ def test_run_stderr_lines(tmp_path, capsys, document, line):
     assert run_stderr(tmp_path, capsys, document) == f"invalid job document: {line}\n"
 
 
+
+def identity(m):
+    return [["1" if i == j else "0" for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize(
+    "arc_a, arc_b, at",
+    [
+        (identity(10), identity(10), "arc_a"),
+        (identity(9), [row + ["0"] for row in identity(9)], "arc_b[0]"),
+    ],
+    ids=["10x10", "9x10"],
+)
+def test_an_arc_is_at_most_nine_by_nine(tmp_path, capsys, arc_a, arc_b, at):
+    """As a group is, even in an arcs.equiv job that names no group."""
+    err = run_stderr(tmp_path, capsys, job("arcs.equiv", {"arc_a": arc_a, "arc_b": arc_b}))
+    assert err.endswith(f" is too long (at $.payload.{at})\n")
+
+
 class TestSchemaShape:
     """What the handlers and the compiled check rely on in the shipped schema."""
 
