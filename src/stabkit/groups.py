@@ -509,8 +509,7 @@ def image_order(rep: Representation, arc: Arc, v: Sequence[Fraction]):
             raise ValueError("invalid arc: zero determinant")
         if rep._packed is None:
             rep._packed = _pack_terms(rep)
-        coords = primitive([_exact(c) for c in v])
-        return _packed_order(rep._packed, arc, [(j, c) for j, c in enumerate(coords) if c])
+        return _packed_order(rep._packed, arc, [_exact(c) for c in v])
     raise TypeError(f"unknown representation type {type(rep).__name__}")
 
 
@@ -554,11 +553,26 @@ def _pack_terms(action: MatrixAction) -> tuple:
     return top, delta, reads, slots, tuple(map(tuple, columns)), tuple(norms)
 
 
-def _packed_order(packed: tuple, arc: Arc, coords: list[tuple[int, int]]):
-    """ord0 of the image of the vector with nonzero primitive coordinates
-    `coords`, (column, value) pairs, under the action `_pack_terms` packed,
-    at an arc of nonzero determinant: `image_order`'s Kronecker reading."""
+def _packed_order(packed: tuple, arc: Arc, values: list):
+    """ord0 of the image of the nonzero vector `values` under the action
+    `_pack_terms` packed, at an arc of nonzero determinant: `image_order`'s
+    Kronecker reading.
+
+    When no term has a factor, every term is c * ginv^top and each row is a
+    constant over det^top, of order -top * val(det) where it is nonzero; no
+    power is built.  A constant action (top = 0) is the identity once
+    `check_action` passed it, of order 0."""
     top, delta, reads, slots, columns, norms = packed
+    if not slots:
+        rows: dict = {}
+        for j, c in enumerate(values):
+            if c:
+                for i, terms in columns[j]:
+                    rows[i] = rows.get(i, 0) + c * sum([coeff for coeff, _ in terms])
+        if not any(rows.values()):
+            raise ValueError("ord0 of an all-zero vector is undefined")
+        return -top * arc.det.val
+    coords = [(j, c) for j, c in enumerate(primitive(values)) if c]
     m = arc.size
     n = m * m
     entries = [e.terms for row in arc.matrix for e in row]

@@ -5,11 +5,14 @@ supports: a pair is semistable exactly when the hull of the w-support sits
 inside the hull of the v-support.  Both level-l conditions, semistability of
 the associated pair and the norm gap, ask whether mu >= c * norm on every
 one-parameter subgroup for one value of c, so one stability interval of such
-c decides every level.  It comes from one small Farkas system per cone of
-the refined normal fan: phase 1 once, then two objectives on its tableau.
-Destabilizers and interval ends are re-verified through the arc-weight
-machinery before being returned.  For non-abelian groups only a seeded
-randomized falsifier is offered.
+c decides every level.  mu - c * norm is linear on each cone of one fan, the
+refinement of the normal fans of both hulls and of the standard simplex, so
+up to rank 3 the interval is read off a finite set of candidate rays that
+holds every ray of that fan, with no LP.  From rank 4 on it comes from one
+small Farkas system per cone of the fan: phase 1 once, then two objectives
+on its tableau.  Destabilizers and interval ends are re-verified through the
+arc-weight machinery before being returned.  For non-abelian groups only a
+seeded randomized falsifier is offered.
 """
 
 from __future__ import annotations
@@ -257,6 +260,55 @@ def associated_pair(pair: Pair, level: int) -> Pair:
     )
 
 
+def candidate_rays(
+    supports: Sequence[Sequence[tuple[int, ...]]], m: int
+) -> list[tuple[int, ...]]:
+    """Primitive integer vectors, sorted, that include both generators of
+    every ray of the common refinement of the normal fans of the standard
+    simplex and of hull(S) for each support S in R^m, for m = 1, 2 or 3.
+
+    A cone of a normal fan is cut out by <a, e> >= 0 and <a, e> = 0 for edge
+    directions e of its polytope, so a cone K of the refinement is too, with
+    the edges of all the polytopes: differences of two points of one
+    support, and the simplex's e_i - e_j.  K's lineality space lies in the
+    simplex's, the line of (1, ..., 1), and a ray of K orthogonal to it is
+    orthogonal to m - 1 independent vectors of the pool of those edges and
+    (1, ..., 1).  So every such ray, and either direction of the lineality
+    space, is up to sign the perpendicular (-y, x) of a pool vector (x, y)
+    for m = 2 (e_1 - e_2 gives (1, 1)) and the cross product of two pool
+    vectors for m = 3 (e_1 - e_2 and e_2 - e_3 give (1, 1, 1)); for m = 1
+    the candidates are -1 and 1.  Most candidates are no ray of the fan.
+    """
+    if not 1 <= m <= 3:
+        raise ValueError("candidate rays are enumerated for ranks 1 to 3 only")
+    if m == 1:
+        return [(-1,), (1,)]
+    zero = (0,) * m
+    pool = {(1,) * m}
+    for support in ([tuple(int(k == i) for k in range(m)) for i in range(m)], *supports):
+        for p, q in itertools.combinations(support, 2):
+            e = [y - x for x, y in zip(p, q)]
+            g = math.gcd(*e)
+            if g:  # one primitive vector per line
+                e = tuple(x // g for x in e)
+                pool.add(e if e > zero else tuple(-x for x in e))
+    if m == 2:
+        normals = [(-y, x) for x, y in pool]
+    else:
+        normals = [
+            (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+            for a, b in itertools.combinations(pool, 2)
+        ]
+    rays = set()
+    for r in normals:
+        g = math.gcd(*r)
+        if g:
+            r = tuple(x // g for x in r)
+            rays.add(r)
+            rays.add(tuple(-x for x in r))
+    return sorted(rays)
+
+
 def stability_interval(pair: Pair) -> tuple[Fraction | float, Fraction | float] | None:
     """The closed interval of c with mu(a) >= c * norm(a) for every exponent
     vector a, as (lo, hi) with -math.inf or math.inf for an open end and a
@@ -267,23 +319,81 @@ def stability_interval(pair: Pair) -> tuple[Fraction | float, Fraction | float] 
     in the interval and norm-gap stable at level l exactly when 1/(l+1) does.
     Its associated pair at l is semistable exactly when -1/(l+1) does, since
     minima add over the Minkowski sums d*simplex + l*supp v and (l+1)*supp w.
+    With w = 0, mu is +infinity and the interval is the whole line.
 
-    Both are linear on each cone K where chi_w, chi_v and coordinate i attain
-    the three minima, cut out by rows r with r.a <= 0.  By Farkas' lemma c is
-    valid on K exactly when mu - c * norm lies in the dual cone of K, that is
-    when sum lambda_r * r - c * norm = -mu for some lambda >= 0: one equation
-    per coordinate.  The system is built once per cone, and after one
-    phase 1 two objectives on its tableau give the greatest and the least c,
-    K's ends of the interval; an unbounded objective leaves its end open and
-    an infeasible system empties the interval.  Each finite end is
-    re-verified on the first cone that attains it: by strong duality the
-    primal LP min{mu : norm = side, a in K} has optimum side * end, and at
-    its minimizer, scaled to a primitive integer exponent vector, the arc
-    weight must agree.
+    Otherwise mu and norm are linear on each cone of the refinement of the
+    normal fans of hull(supp w), hull(supp v) and the standard simplex, so
+    mu - c * norm is nonnegative everywhere exactly when it is on the
+    generators of every cone.  Up to rank 3 those lie among `candidate_rays`
+    (its docstring says why), and each candidate
+    a gives a valid bound whether or not it is a ray: c <= mu(a) / norm(a)
+    when norm(a) > 0, c >= mu(a) / norm(a) when norm(a) < 0, and none at all
+    when norm(a) = 0 and mu(a) < 0.  From rank 4 on, where the candidates
+    would come from the (m - 1)-subsets of the pool, the ends come from one
+    Farkas system per cone (`_farkas_ends`).  Either way each finite end is
+    re-verified at an exponent vector that attains it: the arc weight and
+    norm of its one-parameter subgroup must agree with it.
     """
     supp_v, supp_w = torus_supports(pair)
     m = pair.rep_v.rank
     d = deg_of_rep(pair.rep_v, m)
+    if not supp_w:
+        return -math.inf, math.inf
+    ends = (_ray_ends if m <= 3 else _farkas_ends)(supp_v, supp_w, m, d)
+    if ends is None:
+        return None
+    for end, exponents in ends.values():
+        arc = Arc.one_ps(exponents)
+        ord_v = image_order(pair.rep_v, arc, pair.v)
+        mu_a = mu_from_order(ord_v, pair.rep_w, pair.w, arc)
+        if mu_a != end * norm_from_order(ord_v, d, arc):
+            raise AssertionError("stability interval end failed re-verification")
+    lo = ends[-1][0] if -1 in ends else -math.inf
+    hi = ends[1][0] if 1 in ends else math.inf
+    return lo, hi
+
+
+def _ray_ends(supp_v, supp_w, m: int, d: int) -> dict | None:
+    """The finite ends of the stability interval of a nonzero w at rank m <=
+    3, keyed by side (-1 lower, 1 upper), each with the candidate ray that
+    binds it; None when the interval is empty."""
+    best = {}  # side -> (mu, norm, ray): the end mu / norm, norm of sign side
+    for ray in candidate_rays((supp_v, supp_w), m):
+        min_v = min([sum(map(operator.mul, ray, q)) for q in supp_v])
+        mu = min([sum(map(operator.mul, ray, q)) for q in supp_w]) - min_v
+        norm = min_v - d * min(ray)
+        if not norm:
+            if mu < 0:
+                return None
+            continue
+        side = 1 if norm > 0 else -1
+        old = best.get(side)
+        # side * (mu / norm - old mu / old norm) < 0, cleared of denominators
+        if old is None or side * (mu * old[1] - old[0] * norm) < 0:
+            best[side] = mu, norm, ray
+    ends = {side: (Fraction(mu, norm), ray) for side, (mu, norm, ray) in best.items()}
+    if -1 in ends and 1 in ends and ends[-1][0] > ends[1][0]:
+        return None
+    return ends
+
+
+def _farkas_ends(supp_v, supp_w, m: int, d: int) -> dict | None:
+    """`_ray_ends` at any rank, each finite end with a primitive exponent
+    vector that attains it, from one Farkas system per cone.
+
+    Both mu and norm are linear on each cone K where chi_w, chi_v and
+    coordinate i attain the three minima, cut out by rows r with r.a <= 0.
+    By Farkas' lemma c is valid on K exactly when mu - c * norm lies in the
+    dual cone of K, that is when sum lambda_r * r - c * norm = -mu for some
+    lambda >= 0: one equation per coordinate.  The system is built once per
+    cone, and after one phase 1 two objectives on its tableau give the
+    greatest and the least c, K's ends of the interval; an unbounded
+    objective leaves its end open and an infeasible system empties the
+    interval.  Each finite end is re-verified on the first cone that attains
+    it: by strong duality the primal LP min{mu : norm = side, a in K} has
+    optimum side * end, and its minimizer, scaled to a primitive integer
+    vector, is the end's exponent vector.
+    """
     ends = {-1: -math.inf, 1: math.inf}  # the lower and the upper end
     binding = {}
     for chi_w, chi_v in itertools.product(supp_w, supp_v):
@@ -310,17 +420,14 @@ def stability_interval(pair: Pair) -> tuple[Fraction | float, Fraction | float] 
                         ends[side], binding[side] = end, (mu, cone, norm)
             if ends[-1] > ends[1]:
                 return None
+    found = {}
     for side, (mu, cone, norm) in binding.items():
         end = ends[side]
         res = linprog.solve_lp(mu, cone, [0] * len(cone), [norm], [side], [False] * m)
         if res.status != linprog.OPTIMAL or side * res.objective != end:
             raise AssertionError("stability interval end failed primal re-verification")
-        arc = Arc.one_ps(primitive(res.x))
-        ord_v = image_order(pair.rep_v, arc, pair.v)
-        mu_a = mu_from_order(ord_v, pair.rep_w, pair.w, arc)
-        if mu_a != end * norm_from_order(ord_v, d, arc):
-            raise AssertionError("stability interval end failed re-verification")
-    return ends[-1], ends[1]
+        found[side] = end, primitive(res.x)
+    return found
 
 
 def sample_falsifier(

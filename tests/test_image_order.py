@@ -23,6 +23,7 @@ from stabkit.groups import (
     GroupPresentation,
     MatrixAction,
     TorusWeights,
+    det_polynomial,
     diagonal_action,
     image_order,
     mu_from_order,
@@ -382,6 +383,71 @@ class TestPackedAgainstTermDicts:
             want = order
         assert outcome(image_order, action, arc, [1]) == want
         assert outcome(ref_image_order, action, arc, [1]) == want
+
+
+@st.composite
+def constant_cases(draw):
+    """Actions whose entries are rational constants times one power ginv^e,
+    constants for e = 0, zero entries, zero rows and singular matrices
+    included, with their twins: each entry times det * ginv, the same
+    function of the arc, which the packed reading evaluates in full."""
+    group = draw(st.sampled_from([GL1, SL2, GL2, GL3, TORI[2]]))
+    ring = group.variables
+    dim = draw(st.integers(min_value=1, max_value=3))
+    entry = st.one_of(st.sampled_from([0, 0, 1, -1]), large_coefficients)
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    power = MultiPoly.var(ring, INV_VAR, draw(st.sampled_from([0, 0, 1, 2])))
+    action = MatrixAction(group, [[MultiPoly.constant(ring, c) * power for c in row] for row in rows])
+    one = det_polynomial(group.size, ring) * MultiPoly.var(ring, INV_VAR)
+    twin = MatrixAction(group, [[p * one for p in row] for row in action.matrix])
+    arcs = mixed_arcs(group.size)
+    arc = draw(st.one_of(arcs, arcs, repeated_row_arcs(group.size)))
+    return action, twin, arc, draw(vectors(dim))
+
+
+def repeated_row_arcs(m):
+    """Arcs of size m with zero determinant: one row m times, or for m = 1
+    the zero entry."""
+    if m == 1:
+        return st.just(Arc([[LaurentPoly.zero()]]))
+    return st.lists(laurents, min_size=m, max_size=m).map(lambda row: Arc([row] * m))
+
+
+class TestConstantActions:
+    """An action with no factor on any term reads its order off det alone,
+    without packing the arc: against its twin on the packed reading, same
+    orders, same errors."""
+
+    @given(constant_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_against_the_packed_reading(self, case):
+        action, twin, arc, v = case
+        got = outcome(image_order, action, arc, v)
+        assert got == outcome(image_order, twin, arc, v)
+        assert got == outcome(ref_image_order, action, arc, v)
+        assert isinstance(got, tuple) or type(got) is int
+
+    def test_the_trivial_action_has_order_zero_without_reading_the_arc(self):
+        # an SL2 arc as the falsifier draws them; no slot means that no power
+        # of an arc entry or of det is built
+        arc = arc_product(Arc.one_ps([2, -2]), elementary_arc(2, 0, 1, t("3*t^-2 + t")))
+        assert image_order(TRIVIAL_SL2, arc, [Fraction(-3, 2)]) == 0
+        assert TRIVIAL_SL2._packed[3] == ()
+        twisted = MatrixAction(GL2, [[parse_multi("2*ginv", GL2.variables)]])
+        assert image_order(twisted, Arc.one_ps([3, 1]), [1]) == -4
+        for arc, v, message in [
+            (identity_arc(3), [1], "arc size does not match the group"),
+            (identity_arc(2), [1, 1], "vector length does not match the representation"),
+            (Arc([[t("1"), t("t")], [t("1"), t("t")]]), [1], "invalid arc: zero determinant"),
+            (identity_arc(2), [0], "v must be nonzero"),
+        ]:
+            assert outcome(image_order, TRIVIAL_SL2, arc, v) == ("raised", ValueError, message)
+        zero = MatrixAction(SL2, [[parse_multi(s, SL2.variables) for s in ("1", "-1")]] * 2)
+        assert outcome(image_order, zero, identity_arc(2), [1, 1]) == (
+            "raised",
+            ValueError,
+            "ord0 of an all-zero vector is undefined",
+        )
 
 
 T2 = TorusWeights([(1, -1), (0, 2)])

@@ -324,6 +324,7 @@ class TestLevels:
             assert all(mu >= c * norm for c in ends)
 
     def test_a_wrong_end_fails_reverification(self, monkeypatch):
+        # rank 4 takes the Farkas route, whose ends a primal LP re-verifies
         solve_lp = linprog.solve_lp
 
         def shifted(*args, **kwargs):
@@ -334,7 +335,7 @@ class TestLevels:
 
         monkeypatch.setattr(linprog, "solve_lp", shifted)
         with pytest.raises(AssertionError, match="re-verification"):
-            stability_interval(torus_pair([(3, 1), (1, 3)], [(2, 2)]))
+            stability_interval(torus_pair([(0, 0, 0, 2), (0, 3, 0, 3)], [(0, 2, 2, 2)]))
 
 
 class TestFalsifier:

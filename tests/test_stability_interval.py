@@ -10,7 +10,10 @@ interval must agree with it exactly.
 The interval itself used to come from two primal LPs per cone,
 min{mu : norm = +-1, a in the cone}, plus a third over the unit box for a
 cone inside norm = 0.  A copy of that loop lives here too, and the Farkas
-systems that replaced it must give the same interval on every pair.
+systems that replaced it must give the same interval on every pair.  Up to
+rank 3 the interval is now read off candidate rays with no LP, and the
+Farkas systems, which rank 4 and above still solve, are the reference for
+the rays.
 """
 
 import dataclasses
@@ -21,12 +24,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabkit import cli, linprog
+from stabkit import cli, linprog, pairs
 from stabkit.cli import execute_job
 from stabkit.groups import GroupPresentation, TorusWeights, deg_of_rep
 from stabkit.pairs import (
     Pair,
     associated_pair,
+    candidate_rays,
     point_in_hull,
     stability_interval,
     torus_semistable,
@@ -233,6 +237,28 @@ def torus_pair(weights_v, weights_w, v=None, w=None):
     )
 
 
+def farkas_interval(pair):
+    """`stability_interval` with the Farkas systems at every rank, as it
+    was before rank 3 and below went to the candidate rays."""
+    supp_v, supp_w = torus_supports(pair)
+    m = pair.rep_v.rank
+    d = deg_of_rep(pair.rep_v, m)
+    if not supp_w:
+        return -math.inf, math.inf
+    ends = pairs._farkas_ends(supp_v, supp_w, m, d)
+    if ends is None:
+        return None
+    return tuple(ends[side][0] if side in ends else side * math.inf for side in (-1, 1))
+
+
+def outcome(interval, pair):
+    """interval(pair), or the message of the ValueError it raises."""
+    try:
+        return interval(pair)
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
 @st.composite
 def torus_pairs(draw):
     # mixed coordinate sums on V, so norm takes both signs, and negative
@@ -264,7 +290,127 @@ def torus_pairs(draw):
 # w = 0
 @example(torus_pair([(3, 1), (1, 3)], [(4, 0)], w=[0]))
 def test_farkas_interval_matches_the_primal_loop(pair):
-    assert stability_interval(pair) == old_primal_interval(pair)
+    assert farkas_interval(pair) == old_primal_interval(pair)
+
+
+@st.composite
+def low_rank_pairs(draw):
+    """Rank 1-3 pairs: v-weights of mixed coordinate sums, so norm takes both
+    signs, and now and then a zero or negative one, which leaves V without a
+    scaling degree; negative w-weights; repeated weights; zero coordinates
+    in v, and w now and then zero altogether."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    entry_v = st.sampled_from([0, 1, 2, 3] * 6 + [-1])
+    weights_v = draw(st.lists(st.tuples(*[entry_v] * rank), min_size=1, max_size=5))
+    weight_w = st.tuples(*[st.integers(min_value=-1, max_value=3)] * rank)
+    weights_w = draw(st.lists(weight_w, min_size=1, max_size=3))
+    v = draw(st.lists(coordinates, min_size=len(weights_v), max_size=len(weights_v)))
+    if all(c == 0 for c in v):
+        v[0] = 1
+    w = draw(st.lists(coordinates, min_size=len(weights_w), max_size=len(weights_w)))
+    return torus_pair(weights_v, weights_w, [Fraction(c) for c in v], [Fraction(c) for c in w])
+
+
+@given(low_rank_pairs())
+@settings(max_examples=400, deadline=None)
+# w = 0
+@example(torus_pair([(3, 1), (1, 3)], [(4, 0)], w=[0]))
+@example(torus_pair([(1, 1, 1)], [(0, 0, 3)], w=[0]))
+# no scaling degree: the zero weight, and a negative coordinate, even off
+# the support, with w = 0 too
+@example(torus_pair([(2, 1), (0, 0)], [(1, 2)]))
+@example(torus_pair([(2, 1), (3, -1)], [(1, 2)], [1, 0]))
+@example(torus_pair([(1, 0, 2), (0, 0, 0)], [(1, 1, 1)], w=[0]))
+# rank 1: bounded below only, and a point
+@example(torus_pair([(2,), (1,)], [(1,)]))
+@example(torus_pair([(3,), (1,)], [(2,)], [0, 1]))
+# one-point supports
+@example(torus_pair([(2, 2)], [(2, 2)]))
+@example(torus_pair([(1, 2, 0)], [(0, 1, 2)]))
+# collinear supports, at rank 2 always and at rank 3 on one line
+@example(torus_pair([(0, 4), (1, 3), (3, 1)], [(2, 2), (4, 0)]))
+@example(torus_pair([(3, 0, 0), (2, 1, 0), (0, 3, 0)], [(1, 2, 0)]))
+@example(torus_pair([(2, 0, 1), (1, 1, 1), (0, 2, 1)], [(1, 1, 1), (2, 0, 1)]))
+# repeated weights
+@example(torus_pair([(1, 3), (1, 3), (3, 1)], [(2, 2), (2, 2)]))
+@example(torus_pair([(2, 1, 0), (2, 1, 0), (0, 1, 2)], [(1, 1, 1), (1, 1, 1)], [1, 2, 1]))
+# zero v-coordinates
+@example(torus_pair([(3,), (2,), (1,)], [(4,)], [0, 1, 1]))
+@example(torus_pair([(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)], [(2, 2)], [1, 0, 0, 0, 1]))
+# a point interval: [-1/7, -1/7]
+@example(torus_pair([(2, 3, 3), (0, 1, 0), (0, 2, 2)], [(0, 2, 0), (1, 3, 2)]))
+# emptied by norm = 0 and mu < 0: on the whole line, and on the ray (1, 1)
+@example(torus_pair([(2,)], [(1,)]))
+@example(torus_pair([(4, 0)], [(3, 0)]))
+def test_rays_give_the_farkas_interval_up_to_rank_three(pair):
+    assert outcome(stability_interval, pair) == outcome(farkas_interval, pair)
+
+
+def test_rays_give_the_farkas_interval_on_every_rank_two_pair_of_degree_four():
+    # every v-support and w-support (w = 0 included) within the five weights
+    # (a, 4 - a), that is the binary quartics' torus pairs
+    points = [(a, 4 - a) for a in range(5)]
+    subsets = [
+        [q for k, q in enumerate(points) if mask >> k & 1] for mask in range(1 << len(points))
+    ]
+    seen = set()
+    for supp_v in subsets[1:]:
+        for supp_w in subsets:
+            pair = torus_pair(supp_v, supp_w or [(4, 0)], w=None if supp_w else [0])
+            interval = stability_interval(pair)
+            assert interval == farkas_interval(pair), (supp_v, supp_w)
+            seen.add(interval if interval is None else tuple(map(str, interval)))
+    assert len(subsets) == 32
+    assert len(seen) > 10
+
+
+def test_a_ray_interval_builds_no_tableau(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a tableau was built")
+
+    monkeypatch.setattr(linprog.Tableau, "__init__", refused)
+    rank_three = torus_pair([(2, 3, 3), (0, 1, 0), (0, 2, 2)], [(0, 2, 0), (1, 3, 2)])
+    assert stability_interval(rank_three) == (Fraction(-1, 7), Fraction(-1, 7))
+    assert stability_interval(torus_pair([(3, 1), (1, 3)], [(2, 2)])) == (-math.inf, 1)
+    assert stability_interval(torus_pair([(3,), (1,)], [(2,)], [0, 1])) == (
+        Fraction(-1, 2),
+        Fraction(-1, 2),
+    )
+    assert stability_interval(torus_pair([(2,)], [(1,)])) is None
+    with pytest.raises(AssertionError, match="tableau"):
+        stability_interval(torus_pair([(0, 0, 0, 2), (0, 3, 0, 3)], [(0, 2, 2, 2)]))
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        torus_pair([(3, 1), (1, 3)], [(2, 2)]),
+        torus_pair([(2,), (1,)], [(1,)]),
+        torus_pair([(2, 3, 3), (0, 1, 0), (0, 2, 2)], [(0, 2, 0), (1, 3, 2)]),
+    ],
+    ids=["upper-end", "lower-end", "both-ends"],
+)
+def test_a_binding_ray_whose_arc_weight_disagrees_fails_reverification(monkeypatch, pair):
+    mu_from_order = pairs.mu_from_order
+    monkeypatch.setattr(pairs, "mu_from_order", lambda *args: mu_from_order(*args) + 1)
+    with pytest.raises(AssertionError, match="stability interval end failed re-verification"):
+        stability_interval(pair)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_candidate_rays_are_primitive_and_come_in_opposite_pairs(m):
+    supports = ([(3, 0, 0)[:m], (1, 1, 1)[:m], (0, 2, 2)[:m]], [(2, 2, 0)[:m]])
+    rays = candidate_rays(supports, m)
+    assert rays == sorted(set(rays))
+    assert {tuple(-x for x in r) for r in rays} == set(rays)
+    assert all(len(r) == m and math.gcd(*r) == 1 for r in rays)
+    assert (1,) * m in rays
+
+
+@pytest.mark.parametrize("m", [0, 4])
+def test_candidate_rays_stop_at_rank_three(m):
+    with pytest.raises(ValueError, match="ranks 1 to 3"):
+        candidate_rays([[(1,) * m]], m)
 
 
 @pytest.fixture
@@ -293,29 +439,37 @@ def pivots_of(counts, interval, pair):
     return sum(counts)
 
 
+# Rank 4 is the lowest at which `stability_interval` solves Farkas systems;
+# below it they are solved by calling the Farkas route directly.
+RANK_FOUR = torus_pair([(0, 0, 0, 2), (0, 3, 0, 3)], [(0, 2, 2, 2)])
+LP_PINS = [
+    (farkas_interval, torus_pair([(1, 3), (3, 1)], [(2, 2)])),
+    (farkas_interval, torus_pair([(2, 3, 3), (0, 1, 0), (0, 2, 2)], [(0, 2, 0), (1, 3, 2)])),
+    (stability_interval, RANK_FOUR),
+]
+
+
 @pytest.mark.parametrize(
-    "pair, farkas, primal",
-    [
-        (torus_pair([(1, 3), (3, 1)], [(2, 2)]), 16, 55),
-        (torus_pair([(2, 3, 3), (0, 1, 0), (0, 2, 2)], [(0, 2, 0), (1, 3, 2)]), 145, 431),
-    ],
+    "interval, pair, farkas, primal",
+    [(*pin, farkas, primal) for pin, farkas, primal in zip(LP_PINS, (16, 145, 59), (55, 431, 129))],
+    ids=["rank-2", "rank-3", "rank-4"],
 )
-def test_farkas_systems_pivot_less_than_the_primal_loop(pivots, pair, farkas, primal):
+def test_farkas_systems_pivot_less_than_the_primal_loop(pivots, interval, pair, farkas, primal):
     # each primal LP has a row and an artificial per cone row; a Farkas
     # system has one row per coordinate and one phase 1 for both of its
     # objectives, and at most two primal LPs re-verify the ends
-    assert pivots_of(pivots, stability_interval, pair) == farkas
+    assert pivots_of(pivots, interval, pair) == farkas
     assert pivots_of(pivots, old_primal_interval, pair) == primal
 
 
 @pytest.mark.parametrize(
-    "pair, cones, ends",
-    [
-        (torus_pair([(1, 3), (3, 1)], [(2, 2)]), 4, 1),
-        (torus_pair([(2, 3, 3), (0, 1, 0), (0, 2, 2)], [(0, 2, 0), (1, 3, 2)]), 18, 2),
-    ],
+    "interval, pair, cones, ends",
+    [(*pin, cones, ends) for pin, cones, ends in zip(LP_PINS, (4, 18, 8), (1, 2, 2))],
+    ids=["rank-2", "rank-3", "rank-4"],
 )
-def test_each_cone_builds_one_system_and_runs_phase_1_once(monkeypatch, pair, cones, ends):
+def test_each_cone_builds_one_system_and_runs_phase_1_once(
+    monkeypatch, interval, pair, cones, ends
+):
     # every tableau here has equality rows, so each runs phase 1; the primal
     # LP re-verifying a finite end is one more tableau with one objective
     calls = {"built": 0, "phase 1": 0, "objectives": 0}
@@ -329,7 +483,7 @@ def test_each_cone_builds_one_system_and_runs_phase_1_once(monkeypatch, pair, co
 
     for name, attr in (("built", "__init__"), ("phase 1", "_phase1"), ("objectives", "minimize")):
         monkeypatch.setattr(linprog.Tableau, attr, counted(name, getattr(linprog.Tableau, attr)))
-    stability_interval(pair)
+    interval(pair)
     assert calls == {"built": cones + ends, "phase 1": cones + ends, "objectives": 2 * cones + ends}
 
 
@@ -343,6 +497,7 @@ def test_a_witness_disagreeing_with_its_farkas_end_fails_reverification(monkeypa
             res = dataclasses.replace(res, objective=res.objective + 1)
         return res
 
+    assert stability_interval(RANK_FOUR) == (-1, Fraction(-1, 3))
     monkeypatch.setattr(linprog, "solve_lp", shifted)
     with pytest.raises(AssertionError, match="primal re-verification"):
-        stability_interval(torus_pair([(3, 1), (1, 3)], [(2, 2)]))
+        stability_interval(RANK_FOUR)
